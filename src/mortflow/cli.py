@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -15,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import load_model, save_model
+from .convergence import half_life
 from .data import tensor_from_csv
 from .errors import (
     CalibrationMissingError,
@@ -25,6 +25,8 @@ from .errors import (
     TailConfigError,
 )
 from .evaluation import (
+    GRID_TAU,
+    GRID_W,
     CVConfig,
     calibrate_pi,
     entry_state,
@@ -59,15 +61,6 @@ def _floats(text):
 
 def _ints(text):
     return tuple(int(x) for x in text.split(","))
-
-
-def half_life(alpha):
-    """Years for a deviation to halve under per-year retention alpha."""
-    if alpha <= 0.0:
-        return 0.0
-    if alpha >= 1.0:
-        return math.inf
-    return math.log(2.0) / -math.log(alpha)
 
 
 def _print_fit_report(fitted):
@@ -156,9 +149,9 @@ def cmd_forecast(args):
 def cmd_cv(args):
     tensor = tensor_from_csv(args.input)
     config = CVConfig(ranks=args.ranks, n_components=args.pcs,
-                      tau=12.0 if args.tau is None else args.tau,
+                      tau=CVConfig.tau if args.tau is None else args.tau,
                       window=args.window,
-                      w=1.0 if args.w is None else args.w,
+                      w=CVConfig.w if args.w is None else args.w,
                       horizon=args.horizon, origin_spacing=args.spacing,
                       min_train=args.min_train, seed=args.seed,
                       jobs=args.jobs)
@@ -243,15 +236,15 @@ def build_parser():
     fit.add_argument("--input", required=True, help="mortality CSV")
     fit.add_argument("--ranks", type=_ints, default=None,
                      help="factor ranks, e.g. 2,42,46,100")
-    fit.add_argument("--pcs", type=int, default=5,
+    fit.add_argument("--pcs", type=int, default=FitConfig.n_components,
                      help="score-space components")
-    fit.add_argument("--tau", type=float, default=12.0,
+    fit.add_argument("--tau", type=float, default=FitConfig.tau,
                      help="era half-life in years")
-    fit.add_argument("--window", type=float, default=40.0,
+    fit.add_argument("--window", type=float, default=FitConfig.window,
                      help="era hard window in years")
     fit.add_argument("--origin", type=int, default=None,
                      help="fit origin year (default: last observed)")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=FitConfig.seed)
     fit.add_argument("--out", default="model.json")
     fit.set_defaults(func=cmd_fit)
 
@@ -280,23 +273,22 @@ def build_parser():
                     help="refit without each held-out country")
     cv.add_argument("--skip-grid", action="store_true",
                     help="skip the (w, tau) grid search")
-    cv.add_argument("--grid-w", type=_floats, default=(0.2, 0.5, 1.0))
-    cv.add_argument("--grid-tau", type=_floats,
-                    default=(10.0, 12.0, 15.0, 20.0, 30.0))
+    cv.add_argument("--grid-w", type=_floats, default=GRID_W)
+    cv.add_argument("--grid-tau", type=_floats, default=GRID_TAU)
     cv.add_argument("--ranks", type=_ints, default=None)
-    cv.add_argument("--pcs", type=int, default=5)
+    cv.add_argument("--pcs", type=int, default=CVConfig.n_components)
     cv.add_argument("--tau", type=float, default=None,
                     help="pin the era half-life instead of tuning it")
-    cv.add_argument("--window", type=float, default=40.0)
+    cv.add_argument("--window", type=float, default=CVConfig.window)
     cv.add_argument("--w", type=float, default=None,
                     help="pin the blend weight instead of tuning it")
-    cv.add_argument("--horizon", type=int, default=50)
-    cv.add_argument("--spacing", type=int, default=10,
+    cv.add_argument("--horizon", type=int, default=CVConfig.horizon)
+    cv.add_argument("--spacing", type=int, default=CVConfig.origin_spacing,
                     help="observed years between forecast origins")
-    cv.add_argument("--min-train", type=int, default=20)
-    cv.add_argument("--jobs", type=int, default=1,
+    cv.add_argument("--min-train", type=int, default=CVConfig.min_train)
+    cv.add_argument("--jobs", type=int, default=CVConfig.jobs,
                     help="parallel workers (capped by MORTFLOW_THREADS)")
-    cv.add_argument("--seed", type=int, default=0)
+    cv.add_argument("--seed", type=int, default=CVConfig.seed)
     cv.add_argument("--out", default="cv",
                     help="output prefix for _records/_grid/_metrics files")
     cv.set_defaults(func=cmd_cv)

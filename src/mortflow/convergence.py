@@ -8,6 +8,7 @@ fit.  The resulting per-component rates drive the forecaster's relaxation
 terms.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -65,11 +66,11 @@ class RelaxationRates:
 
     @property
     def half_life_v(self):
-        return _half_life(self.alpha_v)
+        return half_life(self.alpha_v)
 
     @property
     def half_lives_s(self):
-        return tuple(_half_life(a) for a in self.alpha_s)
+        return tuple(half_life(a) for a in self.alpha_s)
 
     def to_dict(self):
         return {"alpha_v": self.alpha_v, "alpha_s": list(self.alpha_s)}
@@ -80,10 +81,13 @@ class RelaxationRates:
                    alpha_s=tuple(payload["alpha_s"]))
 
 
-def _half_life(alpha):
+def half_life(alpha):
+    """Years for a deviation to halve under per-year retention alpha."""
     if alpha <= 0.0:
         return 0.0
-    return float(np.log(2.0) / -np.log(alpha))
+    if alpha >= 1.0:
+        return math.inf
+    return math.log(2.0) / -math.log(alpha)
 
 
 def compute_deviations(ff, series_by_country):

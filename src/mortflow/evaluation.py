@@ -1,12 +1,12 @@
 """Leave-country-out cross-validation, grid search, and metrics.
 
-The CV loop is strict: the held-out country is dropped from the panel
-before anything is fitted, and the training tensor is truncated at each
-forecast origin.  The grid search deliberately is not: it refits the
-full panel once per origin and enters every country through its own
-fitted state, trading isolation for speed while tuning (w, tau).
-Calibration turns pooled CV errors into the bias curve and scale
-factors that the forecast layer needs for interval bands.
+The strict CV loop drops the held-out country before anything is
+fitted and truncates the training tensor at each forecast origin.  The
+inclusive loop refits the full panel once per origin year and enters
+every country through its own fitted state, trading isolation for
+speed; inclusive CV runs it for one (w, tau) cell, the grid search for
+every cell.  Calibration turns pooled CV errors into the bias curve
+and scale factors that the forecast layer needs for interval bands.
 """
 
 import csv
@@ -14,7 +14,8 @@ import json
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 
 import numpy as np
 from scipy.special import expit
@@ -28,7 +29,7 @@ from .forecast import (
     run_forecast,
     tier2_state,
 )
-from .lifetable import e0_by_sex, survivorship
+from .lifetable import e0_by_sex, observed_e0, survivorship
 from .pca import scores as core_scores
 from .pipeline import FitConfig, fit_basis, fit_dynamics, fit_model
 from .smoothing import lowess
@@ -116,9 +117,9 @@ class CVConfig:
             raise DataError(f"unknown truth source {self.truth!r}")
 
     def fit_config(self, origin):
-        return FitConfig(ranks=self.ranks, n_components=self.n_components,
-                         tau=self.tau, window=self.window, seed=self.seed,
-                         origin=int(origin))
+        shared = {f.name: getattr(self, f.name) for f in fields(FitConfig)
+                  if hasattr(self, f.name)}
+        return FitConfig(**shared, origin=int(origin))
 
 
 def candidate_origins(tensor, c, config):
@@ -182,15 +183,15 @@ def _schedule_errors(pred_logit, obs_logit):
     return eps, lx, int(np.count_nonzero(~valid))
 
 
-def _truth_e0(fitted, obs_schedule, truth):
-    if truth == "tucker":
-        rep = reconstruct_schedule(fitted.model,
-                                   project_schedule(fitted.model, obs_schedule))
-        return float(e0_by_sex(rep).mean())
-    return float(e0_by_sex(obs_schedule).mean())
+def _tucker_e0(model, obs_schedule):
+    """e0 of the basis reconstruction of an observed schedule."""
+    rep = reconstruct_schedule(model, project_schedule(model, obs_schedule))
+    return float(e0_by_sex(rep).mean())
 
 
-def _records_from_result(fitted, result, tensor, c, t_origin, config):
+def _records_from_result(model, result, tensor, observed, c, t_origin,
+                         config):
+    """Records of one forecast; ``observed`` is observed_e0 of the tensor."""
     records = []
     origin_year = int(tensor.years[t_origin])
     for h in range(1, config.horizon + 1):
@@ -199,7 +200,8 @@ def _records_from_result(fitted, result, tensor, c, t_origin, config):
             continue
         obs = tensor.values[:, :, c, t]
         e0_hat = float(result.e0_avg[h - 1])
-        e0_obs = _truth_e0(fitted, obs, config.truth)
+        e0_obs = (_tucker_e0(model, obs) if config.truth == "tucker"
+                  else float(observed[c, t]))
         rec = CVRecord(country=tensor.countries[c], origin=origin_year,
                        horizon=h, e0_hat=e0_hat, e0_obs=e0_obs,
                        err=e0_hat - e0_obs)
@@ -212,7 +214,7 @@ def _records_from_result(fitted, result, tensor, c, t_origin, config):
     return records
 
 
-def _country_records(tensor, country, config, on_fit=None):
+def _country_records(tensor, country, config, observed, on_fit=None):
     """Strict LOCO records for one held-out country."""
     c = tensor.country_index(country)
     origins = candidate_origins(tensor, c, config)
@@ -229,19 +231,11 @@ def _country_records(tensor, country, config, on_fit=None):
                            clip_ranks=True)
         if on_fit is not None:
             on_fit(country, origin_year, fitted)
-        state = entry_state(fitted, tensor, c, t0)
-        result = run_forecast(fitted.model, fitted.pca, fitted.flowfield,
-                              state,
-                              ForecastConfig(rates=fitted.rates, w=config.w,
-                                             horizon=config.horizon))
-        records.extend(
-            _records_from_result(fitted, result, tensor, c, t0, config))
+        result = fitted.forecast_state(entry_state(fitted, tensor, c, t0),
+                                       horizon=config.horizon, w=config.w)
+        records.extend(_records_from_result(fitted.model, result, tensor,
+                                            observed, c, t0, config))
     return records
-
-
-def _cv_worker(args):
-    tensor, country, config = args
-    return _country_records(tensor, country, config)
 
 
 def _effective_jobs(requested):
@@ -274,18 +268,62 @@ def run_loco_cv(tensor, config=None, on_fit=None):
     jobs = _effective_jobs(config.jobs)
     if on_fit is not None:
         jobs = 1
+    observed = observed_e0(tensor.values, tensor.mask)
     if jobs > 1:
-        tasks = [(tensor, country, config) for country in tensor.countries]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_cv_worker, tasks))
-        records = [rec for chunk in chunks for rec in chunk]
+            chunks = list(pool.map(_country_records, repeat(tensor),
+                                   tensor.countries, repeat(config),
+                                   repeat(observed)))
     else:
-        records = []
-        for country in tensor.countries:
-            records.extend(
-                _country_records(tensor, country, config, on_fit=on_fit))
+        chunks = [_country_records(tensor, country, config, observed,
+                                   on_fit=on_fit)
+                  for country in tensor.countries]
+    records = [rec for chunk in chunks for rec in chunk]
     records.sort(key=lambda r: (r.country, r.origin, r.horizon))
     return records
+
+
+def _origin_plan(tensor, config):
+    """Candidate origins by year, {origin_year: [(c, t0), ...]}, sorted."""
+    if len(tensor.countries) < 2:
+        raise InsufficientDataError(
+            "cross-validation needs at least 2 countries")
+    by_year = {}
+    for c in range(len(tensor.countries)):
+        for t0 in candidate_origins(tensor, c, config):
+            by_year.setdefault(int(tensor.years[t0]), []).append((c, t0))
+    if not by_year:
+        raise InsufficientDataError("no usable forecast origins in the panel")
+    return {year: by_year[year] for year in sorted(by_year)}
+
+
+def _inclusive_records(tensor, config, grid_w, grid_tau):
+    """Inclusive-flow records of each (w, tau) cell, in origin-plan order.
+
+    Per origin year: one basis fit, one state per entry, one dynamics
+    fit per tau and one forecast per (w, entry).
+    """
+    plan = _origin_plan(tensor, config)
+    observed = observed_e0(tensor.values, tensor.mask)
+    cells = {(float(w), float(tau)): [] for w in grid_w for tau in grid_tau}
+    for origin_year, entries in plan.items():
+        base_config = config.fit_config(origin_year)
+        basis = fit_basis(tensor, base_config, clip_ranks=True)
+        states = [country_state(basis.model, basis.pca, basis.mask,
+                                tensor.countries[c]) for c, _ in entries]
+        for tau in grid_tau:
+            ff, rates = fit_dynamics(basis,
+                                     replace(base_config, tau=float(tau)))
+            for w in grid_w:
+                fc = ForecastConfig(rates=rates, w=float(w),
+                                    horizon=config.horizon)
+                cell = cells[(float(w), float(tau))]
+                for (c, t0), state in zip(entries, states):
+                    result = run_forecast(basis.model, basis.pca, ff, state,
+                                          fc)
+                    cell.extend(_records_from_result(
+                        basis.model, result, tensor, observed, c, t0, config))
+    return cells
 
 
 def run_inclusive_cv(tensor, config=None):
@@ -298,28 +336,8 @@ def run_inclusive_cv(tensor, config=None):
     from run_loco_cv.  Always serial.
     """
     config = config or CVConfig()
-    if len(tensor.countries) < 2:
-        raise InsufficientDataError(
-            "cross-validation needs at least 2 countries")
-    by_year = {}
-    for c in range(len(tensor.countries)):
-        for t0 in candidate_origins(tensor, c, config):
-            by_year.setdefault(int(tensor.years[t0]), []).append((c, t0))
-    if not by_year:
-        raise InsufficientDataError("no usable forecast origins in the panel")
-    records = []
-    for origin_year in sorted(by_year):
-        fitted = fit_model(tensor, config.fit_config(origin_year),
-                           clip_ranks=True)
-        for c, t0 in by_year[origin_year]:
-            state = fitted.state(tensor.countries[c])
-            result = run_forecast(fitted.model, fitted.pca, fitted.flowfield,
-                                  state,
-                                  ForecastConfig(rates=fitted.rates,
-                                                 w=config.w,
-                                                 horizon=config.horizon))
-            records.extend(
-                _records_from_result(fitted, result, tensor, c, t0, config))
+    (records,) = _inclusive_records(tensor, config, (config.w,),
+                                    (config.tau,)).values()
     records.sort(key=lambda r: (r.country, r.origin, r.horizon))
     return records
 
@@ -335,55 +353,20 @@ class GridResult:
 def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
     """Pooled-MAE search over blend weights and era time scales.
 
-    Runs with inclusive flows: one basis fit per origin year on the full
-    panel, one dynamics fit per (origin, tau), and every candidate
+    Each cell's MAE is taken over the inclusive-CV records of that
+    (w, tau), against raw e0, in origin-plan order: one basis fit per
+    origin year, one dynamics fit per (origin, tau), and every candidate
     country entered through its own fitted state.  Ties break toward
     smaller tau, then smaller w.
     """
-    config = config or CVConfig()
-    if len(tensor.countries) < 2:
-        raise InsufficientDataError("grid search needs at least 2 countries")
-    by_year = {}
-    for c in range(len(tensor.countries)):
-        for t0 in candidate_origins(tensor, c, config):
-            by_year.setdefault(int(tensor.years[t0]), []).append((c, t0))
-    if not by_year:
-        raise InsufficientDataError("no usable forecast origins in the panel")
-
-    abs_err = {(float(w), float(tau)): []
-               for w in grid_w for tau in grid_tau}
-    truth_cache = {}
-    for origin_year in sorted(by_year):
-        base_config = config.fit_config(origin_year)
-        basis = fit_basis(tensor, base_config, clip_ranks=True)
-        states = [(c, t0, country_state(basis.model, basis.pca, basis.mask,
-                                        tensor.countries[c]))
-                  for c, t0 in by_year[origin_year]]
+    config = replace(config or CVConfig(), schedules=False, truth="raw")
+    cells = _inclusive_records(tensor, config, grid_w, grid_tau)
+    table = []
+    for w in grid_w:
         for tau in grid_tau:
-            ff, rates = fit_dynamics(basis,
-                                     replace(base_config, tau=float(tau)))
-            for w in grid_w:
-                fc = ForecastConfig(rates=rates, w=float(w),
-                                    horizon=config.horizon)
-                cell = abs_err[(float(w), float(tau))]
-                for c, t0, state in states:
-                    result = run_forecast(basis.model, basis.pca, ff, state,
-                                          fc)
-                    for h in range(1, config.horizon + 1):
-                        t = t0 + h
-                        if t >= tensor.years.size or not tensor.mask[c, t]:
-                            continue
-                        key = (c, t)
-                        if key not in truth_cache:
-                            truth_cache[key] = float(
-                                e0_by_sex(tensor.values[:, :, c, t]).mean())
-                        cell.append(abs(float(result.e0_avg[h - 1])
-                                        - truth_cache[key]))
-
-    table = [{"w": float(w), "tau": float(tau),
-              "mae": float(np.mean(abs_err[(float(w), float(tau))])),
-              "n": len(abs_err[(float(w), float(tau))])}
-             for w in grid_w for tau in grid_tau]
+            errs = [abs(r.err) for r in cells[(float(w), float(tau))]]
+            table.append({"w": float(w), "tau": float(tau),
+                          "mae": float(np.mean(errs)), "n": len(errs)})
     best = min(table, key=lambda row: (row["mae"], row["tau"], row["w"]))
     return GridResult(best=dict(best), table=table)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, ShapeMismatchError
-from .lifetable import e0_by_sex
+from .lifetable import observed_e0
 from .pca import score_grid
 from .smoothing import EraKernel, ExtendedFn, SmoothFn, era_lowess, lowess
 
@@ -81,15 +81,14 @@ def series_from_fit(model, pca, tensor):
     observed logit schedules themselves.
     """
     grid = score_grid(model, pca)
+    e0 = observed_e0(tensor.values, tensor.mask)
     out = {}
     for c, country in enumerate(tensor.countries):
         t_idx = np.flatnonzero(tensor.mask[c])
         if t_idx.size == 0:
             continue
-        slabs = np.moveaxis(tensor.values[:, :, c, t_idx], -1, 0)
         series = build_country_series(
-            country, tensor.years[t_idx], grid[c, t_idx],
-            e0_by_sex(slabs).mean(axis=-1))
+            country, tensor.years[t_idx], grid[c, t_idx], e0[c, t_idx])
         if series is not None:
             out[country] = series
     return out

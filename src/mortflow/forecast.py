@@ -66,15 +66,12 @@ class ForecastConfig:
     rates: object
     w: float = 1.0
     horizon: int = 50
-    tau_blend: float = 2.0
 
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
             raise ValueError(f"blend weight {self.w} outside [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.tau_blend <= 0.0:
-            raise ValueError("tau_blend must be positive")
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ def run_forecast(model, pca, ff, state, config):
         sk = relax_scores(ff, state, rates, h, s1)
         s_h = np.concatenate(([s1], sk))
         all_scores[h - 1] = s_h
-        schedules[h - 1] = reconstruct_with_jumpoff(model, pca, state, s_h,
-                                                    h, config.tau_blend)
+        schedules[h - 1] = reconstruct_with_jumpoff(model, pca, state, s_h, h)
     e0_sex = e0_by_sex(schedules)
     horizons = np.arange(1, H + 1)
     crossings = int(np.count_nonzero(schedules[:, 1, :] < schedules[:, 0, :]))

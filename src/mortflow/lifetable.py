@@ -53,6 +53,17 @@ def e0_by_sex(logit_qx):
     return life_table_e0(expit(np.asarray(logit_qx, dtype=float)))
 
 
+def observed_e0(values, mask):
+    """Sex-averaged e0 of every observed cell, NaN elsewhere.
+
+    (S, A, C, T) logit values and a (C, T) mask in, (C, T) out; each cell
+    equals ``e0_by_sex(values[:, :, c, t]).mean()`` bit for bit.
+    """
+    out = np.full(mask.shape, np.nan)
+    out[mask] = e0_by_sex(np.moveaxis(values[:, :, mask], -1, 0)).mean(axis=-1)
+    return out
+
+
 def _validated(qx):
     qx = np.asarray(qx, dtype=float)
     if qx.shape[-1] < 1:

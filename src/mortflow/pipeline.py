@@ -6,7 +6,9 @@ component space, derive country series, fit the flow field, and estimate
 relaxation rates from the same truncated series the flow field saw.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from operator import index
+from typing import get_args
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .flowfield import (
     FlowField,
     fit_flowfield,
     series_from_fit,
-    truncate_series,
 )
 from .forecast import (
     ForecastConfig,
@@ -66,42 +67,32 @@ class FitConfig:
     max_lag: int = 30
 
     def __post_init__(self):
-        if self.ranks is not None:
-            object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        # Coerce to the declared types (ints via operator.index), so that
+        # to_dict and the config hash read FitConfig(tau=15) as tau=15.0.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = (get_args(f.type) or (f.type,))[0]
+            if kind is tuple and value is not None:
+                value = tuple(int(r) for r in value)
+            elif value is not None:
+                value = index(value) if kind is int else kind(value)
+            object.__setattr__(self, f.name, value)
 
     def flow_config(self):
-        return FlowConfig(tau=self.tau, window=self.window,
-                          bandwidth=self.bandwidth,
-                          transition_e0=self.transition_e0,
-                          tail_delta=self.tail_delta,
-                          tail_blend=self.tail_blend,
-                          seed=self.seed)
+        return FlowConfig(**{f.name: getattr(self, f.name)
+                             for f in fields(FlowConfig)})
 
     def to_dict(self):
-        return {
-            "ranks": None if self.ranks is None else list(self.ranks),
-            "n_components": int(self.n_components),
-            "tau": float(self.tau),
-            "window": float(self.window),
-            "bandwidth": float(self.bandwidth),
-            "transition_e0": float(self.transition_e0),
-            "tail_delta": float(self.tail_delta),
-            "tail_blend": float(self.tail_blend),
-            "seed": int(self.seed),
-            "origin": None if self.origin is None else int(self.origin),
-            "max_lag": int(self.max_lag),
-        }
+        d = asdict(self)
+        if self.ranks is not None:
+            d["ranks"] = list(self.ranks)
+        return d
 
     @classmethod
     def from_dict(cls, d):
-        ranks = d.get("ranks")
-        return cls(ranks=None if ranks is None else tuple(ranks),
-                   n_components=d["n_components"], tau=d["tau"],
-                   window=d["window"], bandwidth=d["bandwidth"],
-                   transition_e0=d["transition_e0"],
-                   tail_delta=d["tail_delta"], tail_blend=d["tail_blend"],
-                   seed=d["seed"], origin=d.get("origin"),
-                   max_lag=d["max_lag"])
+        # every key but origin is required: a damaged file must not load
+        return cls(**{f.name: d[f.name] for f in fields(cls)
+                      if f.name != "origin"}, origin=d.get("origin"))
 
 
 @dataclass
@@ -174,7 +165,7 @@ def fit_basis(tensor, config=None, clip_ranks=False):
         ranks = tuple(min(r, c) for r, c in zip(ranks, _mode_caps(work.shape)))
     model = hosvd(work, ranks)
     pca = fit_core_pca(model, work.mask, n_components=config.n_components)
-    series = truncate_series(series_from_fit(model, pca, work), origin)
+    series = series_from_fit(model, pca, work)
     return BasisFit(model=model, pca=pca, series=series,
                     mask=work.mask.copy(), origin=origin)
 

@@ -59,21 +59,19 @@ def smoothstep(t):
     return out if out.ndim else float(out)
 
 
-def _fit_knots(xc, yv, pv, h):
+def _fit_knots(xc, yv, h):
     """Degree-1 tricube fits, one per row, evaluated at xc = 0.
 
     ``xc`` holds each knot's points as offsets from it (knots x m); ``yv``
-    and the prior weights ``pv`` (or None) are arrays of that shape or
-    length-m arrays shared by every row; ``h`` is the radius per row.  A
-    row whose weighted design is degenerate gets the weighted mean, and
-    a row with no positive weight ("dead") the mean of its points within
-    h.  Returns the values and the dead-row mask.
+    is an array of that shape or a length-m array shared by every row;
+    ``h`` is the radius per row.  A row whose weighted design is
+    degenerate gets the weighted mean, and a row with no positive weight
+    ("dead") the mean of its points within h.  Returns the values and
+    the dead-row mask.
     """
     yv = np.broadcast_to(yv, xc.shape)
     h = h[:, None]
     w = (1.0 - np.minimum(np.abs(xc) / h, 1.0) ** 3) ** 3
-    if pv is not None:
-        w *= pv
     wx = w * xc
     s0 = w.sum(axis=1)
     s1 = wx.sum(axis=1)
@@ -92,7 +90,7 @@ def _fit_knots(xc, yv, pv, h):
     return value, dead
 
 
-def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
+def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
     """Locally linear scatterplot smoother with a tricube kernel.
 
     Parameters
@@ -101,11 +99,6 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
         Observations.  ``x`` needs at least two distinct values.
     bandwidth : float
         Fraction of points in each local window.
-    weights : array_like, optional
-        Non-negative prior weights.  They multiply the tricube kernel
-        weights inside each window; the window itself is chosen by
-        distance alone, so zero-weight points occupy span but exert no
-        pull on the fit.
     max_knots : int
         Evaluation grid cap.  Above it the grid is quantile-spaced.
 
@@ -122,8 +115,8 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
     ``1e-12 * max(range of x, 1)``.  Points at distance exactly h,
     boundary ties included, get zero kernel weight.  A window whose
     weighted design is degenerate falls back to the weighted local mean,
-    and a window with no positive-weight points to the unweighted mean
-    of every point within distance h.
+    and a window whose points all sit at distance h (so no weight is
+    positive) to the unweighted mean of every point within distance h.
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -133,12 +126,6 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
     xu = np.unique(x)
     if xu.size < 2:
         raise DataError("need at least two distinct x values")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float).ravel()
-        if weights.shape != x.shape:
-            raise DataError("weights must match x in length")
-        if np.any(weights < 0):
-            raise DataError("weights must be non-negative")
 
     if xu.size > max_knots:
         knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, max_knots)))
@@ -152,7 +139,6 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
 
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
-    ws = None if weights is None else weights[order]
 
     # The nearest run of a knot starts at the first i whose right end
     # xs[i + span - 1] is at least as far from the knot as its left end
@@ -183,8 +169,7 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
         rows = slice(lo, lo + chunk)
         idx = start[rows, None] + offsets
         fitted[rows], dead[rows] = _fit_knots(
-            xs[idx] - knots[rows, None], ys[idx],
-            None if ws is None else ws[idx], h[rows])
+            xs[idx] - knots[rows, None], ys[idx], h[rows])
 
     # A floored radius can reach past the window, and the dead-window
     # mean takes every point within h, ties outside the window included;
@@ -193,8 +178,7 @@ def lowess(x, y, bandwidth=0.20, weights=None, max_knots=MAX_KNOTS):
     chunk = max(1, 2_000_000 // n)
     for lo in range(0, redo.size, chunk):
         rows = redo[lo:lo + chunk]
-        fitted[rows], _ = _fit_knots(x - knots[rows, None], y, weights,
-                                     h[rows])
+        fitted[rows], _ = _fit_knots(x - knots[rows, None], y, h[rows])
 
     return SmoothFn(knots=knots, values=fitted)
 

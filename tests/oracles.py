@@ -99,7 +99,7 @@ def reference_pooled_autocorr(series_list, h):
     return num / den
 
 
-def reference_lowess(x, y, bandwidth, weights=None, max_knots=1000):
+def reference_lowess(x, y, bandwidth, max_knots=1000):
     """Knot values of degree-1 tricube LOWESS, by brute force.
 
     For every knot all n distances are sorted to find the span-th one,
@@ -123,13 +123,12 @@ def reference_lowess(x, y, bandwidth, weights=None, max_knots=1000):
         knots = distinct
     span = min(max(int(math.ceil(bandwidth * n)), 2), n)
     h_floor = 1e-12 * max(distinct[-1] - distinct[0], 1.0)
-    prior = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     values, sensitivity = [], []
     for k in knots:
         d = np.abs(x - k)
         h = max(np.sort(d)[span - 1], h_floor)
         u = np.minimum(d / h, 1.0)
-        w = (1.0 - u ** 3) ** 3 * prior
+        w = (1.0 - u ** 3) ** 3
         xc = x - k
         s0 = math.fsum(w)
         if s0 <= 0:

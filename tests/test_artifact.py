@@ -138,6 +138,19 @@ def test_load_rejects_hash_mismatch(fitted, tmp_path):
         load_model(path)
 
 
+def test_load_rejects_config_with_a_missing_key(fitted, tmp_path):
+    # origin alone may be absent; no other setting is filled in by default
+    for key in fitted.config.to_dict():
+        if key == "origin":
+            continue
+        doc = model_to_dict(fitted)
+        del doc["meta"]["config"][key]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match=key):
+            load_model(path)
+
+
 def test_load_rejects_non_model_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all {{{")
@@ -157,3 +170,7 @@ def test_config_hash_tracks_config_content():
     assert a != b
     assert a == config_hash(FitConfig())
     assert len(a) == 64
+    # the hash of the defaults is fixed: it is what old artifacts carry
+    assert a == ("335efce04f9b94015a0e31d9dc919d018de1a5cd20dd0cb7ef41d460"
+                 "5ab9bd84")
+    assert config_hash(FitConfig(tau=15)) == config_hash(FitConfig(tau=15.0))

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -415,6 +416,19 @@ def test_grid_search_table_and_best(cv_world):
     assert all(np.isfinite(maes))
     assert result.best["mae"] == min(maes)
     assert result.best in result.table
+
+
+def test_grid_cells_are_the_mae_of_inclusive_cv(cv_world):
+    config = CVConfig(horizon=10, schedules=False, seed=3)
+    result = grid_search(cv_world.tensor, grid_w=(0.5, 1.0),
+                         grid_tau=(12.0, 20.0), config=config)
+    for row in result.table:
+        records = run_inclusive_cv(
+            cv_world.tensor, replace(config, w=row["w"], tau=row["tau"]))
+        # the grid sums in origin-plan order: by origin year, then country
+        records.sort(key=lambda r: (r.origin, r.country, r.horizon))
+        assert row["n"] == len(records)
+        assert row["mae"] == float(np.mean([abs(r.err) for r in records]))
 
 
 def test_grid_search_needs_countries_and_origins(cv_world):

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mortflow.errors import DomainError
-from mortflow.lifetable import e0_by_sex, life_table_e0, survivorship
+from mortflow.lifetable import (
+    e0_by_sex,
+    life_table_e0,
+    observed_e0,
+    survivorship,
+)
 
 from oracles import reference_e0, simulate_cohort_e0
 
@@ -68,6 +73,18 @@ def test_e0_by_sex_shapes():
     out = e0_by_sex(logit_q)
     assert out.shape == (5, 2)
     assert np.all(out > 0.0) and np.all(out < 30.0)
+
+
+def test_observed_e0_matches_each_cell_bit_for_bit():
+    rng = np.random.default_rng(8)
+    values = rng.normal(-4.0, 1.0, size=(2, 20, 3, 9))
+    mask = rng.random((3, 9)) < 0.6
+    values[:, :, ~mask] = np.nan  # unobserved cells are never read
+    out = observed_e0(values, mask)
+    assert out.shape == mask.shape
+    assert np.all(np.isnan(out[~mask]))
+    for c, t in zip(*np.nonzero(mask)):
+        assert out[c, t] == float(e0_by_sex(values[:, :, c, t]).mean())
 
 
 @settings(max_examples=60, deadline=None)

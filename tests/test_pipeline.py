@@ -30,6 +30,15 @@ def test_fit_config_round_trip():
     assert FitConfig.from_dict(FitConfig().to_dict()) == FitConfig()
 
 
+def test_fit_config_serialises_declared_types():
+    d = FitConfig(tau=15, seed=np.int64(3), ranks=[2, 5, 3, 7]).to_dict()
+    assert type(d["tau"]) is float and d["tau"] == 15.0
+    assert type(d["seed"]) is int and d["seed"] == 3
+    assert type(d["ranks"]) is list and d["ranks"] == [2, 5, 3, 7]
+    with pytest.raises(TypeError):
+        FitConfig(n_components=2.5)
+
+
 def test_fit_model_end_to_end():
     world = world_6()
     fitted = fit_model(world.tensor, FitConfig(n_components=4))
