@@ -34,6 +34,9 @@ LAYOUT_NOTE = ("arrays: row-major base64 blocks, dtype as tagged, floats "
                "little-endian f8; unfoldings: mode-n matricization with "
                "remaining modes in ascending order")
 
+# largest |F^T F - I| accepted for the sex and age factors of a file
+ORTHONORMAL_TOL = 1e-10
+
 _DTYPES = {"<f8": "<f8", "|u1": "|u1", "<i8": "<i8"}
 
 
@@ -142,6 +145,13 @@ def model_from_dict(doc):
         years=np.asarray(tk["years"], dtype=np.int64),
         ages=np.asarray(tk["ages"], dtype=np.int64),
     )
+    # project_schedule relies on orthonormal sex and age factors
+    for name in ("sex_factor", "age_factor"):
+        factor = getattr(model, name)
+        gap = np.abs(factor.T @ factor - np.eye(factor.shape[1])).max()
+        if not gap <= ORTHONORMAL_TOL:
+            raise ArtifactError(f"{name} is not orthonormal "
+                                f"(max |F^T F - I| = {gap:.3g})")
     pca = CorePCA(
         g_bar=decode_array(doc["pca"]["g_bar"]),
         loadings=decode_array(doc["pca"]["loadings"]),

@@ -59,6 +59,13 @@ def _floats(text):
     return tuple(float(x) for x in text.split(","))
 
 
+def _grid(text):
+    values = _floats(text)
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"repeated grid value in {text!r}")
+    return values
+
+
 def _ints(text):
     return tuple(int(x) for x in text.split(","))
 
@@ -273,8 +280,8 @@ def build_parser():
                     help="refit without each held-out country")
     cv.add_argument("--skip-grid", action="store_true",
                     help="skip the (w, tau) grid search")
-    cv.add_argument("--grid-w", type=_floats, default=GRID_W)
-    cv.add_argument("--grid-tau", type=_floats, default=GRID_TAU)
+    cv.add_argument("--grid-w", type=_grid, default=GRID_W)
+    cv.add_argument("--grid-tau", type=_grid, default=GRID_TAU)
     cv.add_argument("--ranks", type=_ints, default=None)
     cv.add_argument("--pcs", type=int, default=CVConfig.n_components)
     cv.add_argument("--tau", type=float, default=None,

@@ -154,10 +154,9 @@ def entry_state(fitted, tensor, c, t_origin):
     """
     obs = np.flatnonzero(tensor.mask[c])
     obs = obs[obs <= t_origin]
-    score_rows = np.empty((obs.size, fitted.pca.n_components))
-    for j, t in enumerate(obs):
-        g = project_schedule(fitted.model, tensor.values[:, :, c, t])
-        score_rows[j] = core_scores(fitted.pca, g)
+    history = np.moveaxis(tensor.values[:, :, c, obs], -1, 0)
+    score_rows = core_scores(fitted.pca,
+                             project_schedule(fitted.model, history))
     return tier2_state(fitted.model, fitted.pca, fitted.flowfield,
                        tensor.values[:, :, c, t_origin],
                        int(tensor.years[t_origin]),
@@ -357,8 +356,14 @@ def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
     (w, tau), against raw e0, in origin-plan order: one basis fit per
     origin year, one dynamics fit per (origin, tau), and every candidate
     country entered through its own fitted state.  Ties break toward
-    smaller tau, then smaller w.
+    smaller tau, then smaller w.  A value repeated within ``grid_w`` or
+    ``grid_tau`` raises DataError.
     """
+    for name, values in (("w", grid_w), ("tau", grid_tau)):
+        values = [float(v) for v in values]
+        for i, v in enumerate(values):
+            if v in values[:i]:
+                raise DataError(f"grid {name} value {v!r} is repeated")
     config = replace(config or CVConfig(), schedules=False, truth="raw")
     cells = _inclusive_records(tensor, config, grid_w, grid_tau)
     table = []

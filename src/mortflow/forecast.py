@@ -1,11 +1,11 @@
 """The forecasting engine.
 
-One horizon step advances the level score along the blended speed field,
-relaxes the structural scores toward their trajectories, reconstructs the
-sex-by-age logit schedule with a decaying jump-off correction, and reads
-life expectancy off the resulting life table.  Everything is a pure
-function of the fitted objects: no randomness, no mutation, so reruns are
-bit-identical.
+The level score steps along the blended speed field one horizon at a
+time.  Over its whole path at once, the structural scores relax toward
+their trajectories, the sex-by-age logit schedules are rebuilt with a
+decaying jump-off correction, and life expectancy is read off them.
+Everything is a pure function of the fitted objects: no randomness, no
+mutation, so reruns are bit-identical.
 """
 
 import csv
@@ -130,14 +130,14 @@ def step_speed(ff, state, w, alpha_v, h, s1_prev):
 
 
 def relax_scores(ff, state, rates, h, s1_h):
-    """Structural scores at horizon h, decayed toward the trajectories."""
-    out = np.empty(ff.n_components - 1)
-    for k in range(2, ff.n_components + 1):
-        alpha = rates.alpha_s[k - 1]
-        weight = alpha ** h
-        canonical = float(ff.trajectory(k)(s1_h))
-        out[k - 2] = weight * state.scores[k - 1] + (1.0 - weight) * canonical
-    return out
+    """Structural scores at horizon h, decayed toward the trajectories.
+
+    Scalar h and s1_h give (N-1,); an (H,) axis on both gives (H, N-1).
+    """
+    n = ff.n_components
+    weight = np.asarray(rates.alpha_s[1:n]) ** np.asarray(h)[..., None]
+    canonical = np.array([ff.trajectory(k)(s1_h) for k in range(2, n + 1)]).T
+    return weight * state.scores[1:n] + (1.0 - weight) * canonical
 
 
 def jumpoff_weight(h, tau_blend=2.0):
@@ -146,16 +146,18 @@ def jumpoff_weight(h, tau_blend=2.0):
 
 
 def reconstruct_with_jumpoff(model, pca, state, scores_h, h, tau_blend=2.0):
-    """Sex-by-age logit schedule at horizon h."""
+    """Logit schedule (S, A) at horizon h; an (H,) axis gives (H, S, A)."""
     base = reconstruct_schedule(model, inverse(pca, scores_h))
-    return base + jumpoff_weight(h, tau_blend) * state.jumpoff
+    weight = jumpoff_weight(np.asarray(h)[..., None, None], tau_blend)
+    return base + weight * state.jumpoff
 
 
 def run_forecast(model, pca, ff, state, config):
     """Integrate the flow from a country state out to config.horizon.
 
-    Life expectancy is read off each reconstructed schedule and never
-    feeds back into the navigation.
+    Only the level score is stepped; the structural scores, schedules
+    and life expectancy are array functions of its path.  Life
+    expectancy never feeds back into the navigation.
     """
     rates = config.rates
     if len(rates.alpha_s) < ff.n_components:
@@ -164,26 +166,23 @@ def run_forecast(model, pca, ff, state, config):
             f"{ff.n_components}")
     if state.scores.size < ff.n_components:
         raise ShapeMismatchError("state scores shorter than the score space")
-    n_ages = model.age_factor.shape[0]
-    H = config.horizon
-    all_scores = np.empty((H, ff.n_components))
-    schedules = np.empty((H, model.sex_factor.shape[0], n_ages))
-    s1 = float(state.scores[0])
-    for h in range(1, H + 1):
-        v, s1 = step_speed(ff, state, config.w, rates.alpha_v, h, s1)
-        sk = relax_scores(ff, state, rates, h, s1)
-        s_h = np.concatenate(([s1], sk))
-        all_scores[h - 1] = s_h
-        schedules[h - 1] = reconstruct_with_jumpoff(model, pca, state, s_h, h)
+    horizons = np.arange(1, config.horizon + 1)
+    s1 = np.empty(config.horizon)
+    level = float(state.scores[0])
+    for h in range(1, config.horizon + 1):
+        _, level = step_speed(ff, state, config.w, rates.alpha_v, h, level)
+        s1[h - 1] = level
+    sk = relax_scores(ff, state, rates, horizons, s1)
+    scores = np.column_stack((s1, sk))
+    schedules = reconstruct_with_jumpoff(model, pca, state, scores, horizons)
     e0_sex = e0_by_sex(schedules)
-    horizons = np.arange(1, H + 1)
     crossings = int(np.count_nonzero(schedules[:, 1, :] < schedules[:, 0, :]))
     return ForecastResult(
         country=state.country,
         origin_year=state.origin_year,
         horizons=horizons,
         years=state.origin_year + horizons,
-        scores=all_scores,
+        scores=scores,
         schedules=schedules,
         e0_by_sex=e0_sex,
         e0_avg=e0_sex.mean(axis=1),

@@ -73,20 +73,20 @@ def fit_core_pca(model, mask, n_components=5):
 
 
 def scores(pca, g):
-    """Component scores of one effective core, shape (N,)."""
-    return (np.asarray(g, dtype=float).reshape(-1) - pca.g_bar) @ pca.loadings.T
+    """Component scores of effective cores, (..., r1, r2) -> (..., N)."""
+    g = np.asarray(g, dtype=float)
+    return (g.reshape(*g.shape[:-2], -1) - pca.g_bar) @ pca.loadings.T
 
 
 def inverse(pca, s):
-    """Effective core implied by a score vector (the N-component approximation)."""
-    return (pca.g_bar + np.asarray(s, dtype=float) @ pca.loadings).reshape(pca.core_shape)
+    """N-component effective cores of scores, (..., N) -> (..., r1, r2)."""
+    flat = pca.g_bar + np.asarray(s, dtype=float) @ pca.loadings
+    return flat.reshape(*flat.shape[:-1], *pca.core_shape)
 
 
 def score_grid(model, pca):
     """Scores at every (country, year) cell, shape (C, T, N)."""
-    grid = effective_core_grid(model)
-    flat = grid.reshape(grid.shape[0], grid.shape[1], -1)
-    return (flat - pca.g_bar) @ pca.loadings.T
+    return scores(pca, effective_core_grid(model))
 
 
 def jumpoff_residual(model, pca, c, t):

@@ -90,7 +90,11 @@ class FitConfig:
 
     @classmethod
     def from_dict(cls, d):
-        # every key but origin is required: a damaged file must not load
+        # every key but origin is required and no other key is allowed:
+        # a damaged file must not load
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         return cls(**{f.name: d[f.name] for f in fields(cls)
                       if f.name != "origin"}, origin=d.get("origin"))
 

@@ -276,8 +276,8 @@ class ExtendedFn:
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         line = self.anchor + self.slope * (s - self.transition)
-        t = np.clip((self.transition - s) / self.blend_width, 0.0, 1.0)
-        w = t * t * (3.0 - 2.0 * t)
+        w = smoothstep(np.clip((self.transition - s) / self.blend_width,
+                               0.0, 1.0))
         out = (1.0 - w) * self.base(s) + w * line
         return out if out.ndim else float(out)
 

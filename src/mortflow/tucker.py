@@ -128,15 +128,17 @@ def full_reconstruction(model):
 
 
 def project_schedule(model, z):
-    """Least-squares effective core for an arbitrary logit schedule.
+    """Least-squares effective cores for logit schedules, (..., S, A).
 
-    Solves min_g ||z - S g A^T||_F via the factor pseudoinverses, so an
-    out-of-span component of z is discarded here and resurfaces as the
-    jump-off residual.
+    Solves min_g ||z - S g A^T||_F for each schedule.  The sex and age
+    factors must be orthonormal (F^T F = I, as hosvd makes them; loading
+    an artifact checks it), so the solution is S^T z A.  An out-of-span
+    component of z is discarded here and resurfaces as the jump-off
+    residual.
     """
     z = np.asarray(z, dtype=float)
-    if z.shape != (model.sex_factor.shape[0], model.age_factor.shape[0]):
+    if z.shape[-2:] != (model.sex_factor.shape[0], model.age_factor.shape[0]):
         raise DataError(f"schedule shape {z.shape} does not match the model")
     if not np.isfinite(z).all():
         raise DataError("schedule contains non-finite values")
-    return np.linalg.pinv(model.sex_factor) @ z @ np.linalg.pinv(model.age_factor).T
+    return model.sex_factor.T @ z @ model.age_factor

@@ -154,3 +154,40 @@ def reference_lowess(x, y, bandwidth, max_knots=1000):
         values.append(value)
         sensitivity.append(size)
     return knots, np.array(values), np.array(sensitivity)
+
+
+def reference_forecast(model, pca, ff, state, rates, w, horizon,
+                       tau_blend=2.0):
+    """The forecast engine one horizon and one component at a time.
+
+    At each h the level score takes one step of the blended speed, every
+    structural score k relaxes by alpha_k**h toward its trajectory, the
+    schedule is S (g_bar + sum_k s_k L_k) A^T plus the jump-off residual
+    weighted 2**(-h / tau_blend), and each sex's e0 comes from
+    ``reference_e0``.  Returns the (H, N) scores, the (H, S, A) logit
+    schedules and the (H,) sex-averaged e0.
+    """
+    n = ff.n_components
+    s1 = float(state.scores[0])
+    scores, schedules, e0 = [], [], []
+    for h in range(1, horizon + 1):
+        blend = (1.0 - w) * rates.alpha_v ** h
+        v = (1.0 - blend) * float(ff.speed(s1)) + blend * state.velocity
+        s1 = s1 + v
+        s_h = [s1]
+        for k in range(2, n + 1):
+            weight = rates.alpha_s[k - 1] ** h
+            canonical = float(ff.trajectories[k - 2](s1))
+            s_h.append(weight * state.scores[k - 1]
+                       + (1.0 - weight) * canonical)
+        flat = np.array(pca.g_bar, dtype=float)
+        for k in range(n):
+            flat = flat + s_h[k] * pca.loadings[k]
+        z = model.sex_factor @ flat.reshape(pca.core_shape) \
+            @ model.age_factor.T
+        z = z + 2.0 ** (-h / tau_blend) * np.asarray(state.jumpoff)
+        scores.append(s_h)
+        schedules.append(z)
+        e0.append(sum(reference_e0([1.0 / (1.0 + math.exp(-x)) for x in row])
+                      for row in z) / z.shape[0])
+    return np.array(scores), np.array(schedules), np.array(e0)

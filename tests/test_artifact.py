@@ -151,6 +151,28 @@ def test_load_rejects_config_with_a_missing_key(fitted, tmp_path):
             load_model(path)
 
 
+def test_load_rejects_config_with_an_unknown_key(fitted, tmp_path):
+    doc = model_to_dict(fitted)
+    doc["meta"]["config"]["tua"] = 99.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match="tua"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("name", ["sex_factor", "age_factor"])
+def test_load_rejects_non_orthonormal_factors(fitted, tmp_path, name):
+    # project_schedule is S^T z A, the least-squares core only when
+    # F^T F = I
+    doc = model_to_dict(fitted)
+    factor = getattr(fitted.model, name)
+    doc["tucker"][name] = encode_array(factor * (1.0 + 1e-9))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=f"{name} is not orthonormal"):
+        load_model(path)
+
+
 def test_load_rejects_non_model_files(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json at all {{{")

@@ -299,6 +299,15 @@ def test_default_grid_is_the_fifteen_cell_protocol():
     assert len(args.grid_w) * len(args.grid_tau) == 15
 
 
+@pytest.mark.parametrize("option", ["--grid-w", "--grid-tau"])
+def test_cv_repeated_grid_value_is_a_usage_error(option, capsys):
+    # argparse rejects it (exit 2) before the input is even read
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--input", "missing.csv", option, "1,0.5,1"])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+
+
 def test_half_life_reference_points():
     assert half_life(0.5) == 1.0
     assert np.isclose(half_life(2.0 ** -0.1), 10.0)

@@ -431,6 +431,15 @@ def test_grid_cells_are_the_mae_of_inclusive_cv(cv_world):
         assert row["mae"] == float(np.mean([abs(r.err) for r in records]))
 
 
+def test_grid_search_rejects_repeated_values(cv_world):
+    # a repeated value would fill one cell twice; no fit may start
+    with pytest.raises(DataError, match="grid tau value 12.0"):
+        grid_search(cv_world.tensor, grid_w=(1.0,), grid_tau=(12.0, 12))
+    with pytest.raises(DataError, match="grid w value 0.5"):
+        grid_search(cv_world.tensor, grid_w=(0.5, 1.0, 0.5),
+                    grid_tau=(12.0,))
+
+
 def test_grid_search_needs_countries_and_origins(cv_world):
     from mortflow.data import drop_country
 

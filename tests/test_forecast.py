@@ -4,6 +4,7 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from mortflow.convergence import RelaxationRates
@@ -27,8 +28,12 @@ from mortflow.forecast import (
     write_summary_csv,
 )
 from mortflow.pca import CorePCA
+from mortflow.pipeline import FitConfig, fit_model
 from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
+from mortflow.synth import SyntheticSpec, generate
 from mortflow.tucker import TuckerModel
+
+from oracles import reference_forecast
 
 
 def affine_line(intercept, slope, lo=-200.0, hi=200.0):
@@ -525,3 +530,68 @@ def test_country_state_needs_two_observed_years():
     mask[0, 3] = True
     with pytest.raises(InsufficientDataError):
         country_state(model, pca, mask, "A")
+
+
+# ------------------------------------------------- engine against its oracle
+
+
+def test_horizon_axis_equals_per_horizon_calls():
+    model, pca, ff = engine_parts(cks=(0.5, -0.2))
+    rng = np.random.default_rng(5)
+    state = make_state(scores=(0.5, 2.0, -1.0),
+                       jumpoff=rng.normal(size=(2, 6)))
+    rates = RelaxationRates(alpha_v=0.0, alpha_s=(0.0, 0.7, 0.95))
+    h = np.arange(1, 9)
+    s1 = np.linspace(0.5, -1.0, 8)
+    sk = relax_scores(ff, state, rates, h, s1)
+    assert sk.shape == (8, 2)
+    s_h = np.column_stack((s1, sk))
+    z = reconstruct_with_jumpoff(model, pca, state, s_h, h)
+    assert z.shape == (8, 2, 6)
+    for i in range(8):
+        np.testing.assert_allclose(
+            sk[i], relax_scores(ff, state, rates, int(h[i]), s1[i]),
+            rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            z[i], reconstruct_with_jumpoff(model, pca, state, s_h[i],
+                                           int(h[i])),
+            rtol=0, atol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def fitted_world():
+    world = generate(SyntheticSpec(n_countries=5, n_ages=12, n_years=40,
+                                   stagger=3, seed=11))
+    return fit_model(world.tensor, FitConfig(n_components=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       w=st.floats(0.0, 1.0),
+       alpha_v=st.floats(0.0, 0.999),
+       alpha_s=st.lists(st.floats(0.0, 0.999), min_size=3, max_size=3),
+       horizon=st.integers(1, 60))
+def test_run_forecast_matches_scalar_oracle(fitted_world, seed, w, alpha_v,
+                                            alpha_s, horizon):
+    fitted = fitted_world
+    rng = np.random.default_rng(seed)
+    country = fitted.model.countries[seed % len(fitted.model.countries)]
+    base = fitted.state(country)
+    n_sex, n_ages = fitted.model.sex_factor.shape[0], len(fitted.model.ages)
+    state = CountryState(
+        country=country,
+        scores=base.scores + rng.normal(scale=0.5, size=base.scores.size),
+        velocity=rng.normal(scale=0.3),
+        jumpoff=rng.normal(scale=0.2, size=(n_sex, n_ages)),
+        origin_year=base.origin_year)
+    rates = RelaxationRates(alpha_v=alpha_v, alpha_s=(0.0, *alpha_s))
+    result = run_forecast(fitted.model, fitted.pca, fitted.flowfield, state,
+                          ForecastConfig(rates=rates, w=w, horizon=horizon))
+    scores, schedules, e0 = reference_forecast(
+        fitted.model, fitted.pca, fitted.flowfield, state, rates, w, horizon)
+    # the level score is stepped by the same scalar recursion
+    np.testing.assert_array_equal(result.scores[:, 0], scores[:, 0])
+    np.testing.assert_allclose(result.scores, scores, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.schedules, schedules, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(result.e0_avg, e0, rtol=0, atol=1e-12)

@@ -106,6 +106,31 @@ def test_first_component_tracks_mortality_level():
     assert corr < -0.9
 
 
+def test_batched_scores_and_inverse_equal_per_item_calls():
+    rng = np.random.default_rng(39)
+    tensor, _ = planted_tensor(rng)
+    model = hosvd(tensor, ranks=(2, 5, 4, 9))
+    pca = fit_core_pca(model, tensor.mask, n_components=3)
+    g = rng.normal(size=(4, 6, 2, 5))
+    s = scores(pca, g)
+    assert s.shape == (4, 6, 3)
+    back = inverse(pca, s)
+    assert back.shape == (4, 6, 2, 5)
+    for i in range(4):
+        for j in range(6):
+            np.testing.assert_allclose(s[i, j], scores(pca, g[i, j]), rtol=0,
+                                       atol=1e-13)
+            np.testing.assert_allclose(back[i, j], inverse(pca, s[i, j]),
+                                       rtol=0, atol=1e-13)
+    # the score grid is scores() of every effective core
+    grid = score_grid(model, pca)
+    for c in range(4):
+        for t in range(9):
+            np.testing.assert_allclose(
+                grid[c, t], scores(pca, effective_core(model, c, t)),
+                rtol=0, atol=1e-12)
+
+
 def test_non_leading_rows_keep_canonical_sign():
     rng = np.random.default_rng(34)
     tensor, _ = planted_tensor(rng)

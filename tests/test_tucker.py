@@ -182,6 +182,38 @@ def test_projection_round_trip_and_orthogonal_rejection():
     np.testing.assert_allclose(project_schedule(model, z_noisy), g, atol=1e-10)
 
 
+@pytest.mark.parametrize("seed,shape,ranks", [
+    (21, (2, 8, 4, 9), (2, 4, 3, 5)),
+    (22, (2, 30, 6, 20), (2, 12, 6, 10)),
+    (23, (2, 15, 5, 12), (1, 15, 5, 12)),
+])
+def test_projection_equals_pseudoinverse_solution(seed, shape, ranks):
+    rng = np.random.default_rng(seed)
+    model = hosvd(random_tensor(rng, shape=shape), ranks=ranks)
+    z = rng.normal(size=shape[:2])
+    want = (np.linalg.pinv(model.sex_factor) @ z
+            @ np.linalg.pinv(model.age_factor).T)
+    np.testing.assert_allclose(project_schedule(model, z), want, rtol=0,
+                               atol=1e-12)
+
+
+def test_batched_projection_equals_per_schedule_calls():
+    rng = np.random.default_rng(24)
+    model = hosvd(random_tensor(rng, shape=(2, 8, 4, 9)), ranks=(2, 4, 3, 5))
+    z = rng.normal(size=(3, 5, 2, 8))
+    g = project_schedule(model, z)
+    assert g.shape == (3, 5, 2, 4)
+    for i in range(3):
+        for j in range(5):
+            np.testing.assert_allclose(
+                g[i, j], project_schedule(model, z[i, j]), rtol=0, atol=1e-14)
+    with pytest.raises(DataError, match="shape"):
+        project_schedule(model, z[..., :7])
+    z[1, 2, 0, 3] = np.inf
+    with pytest.raises(DataError):
+        project_schedule(model, z)
+
+
 def test_projection_rejects_nan():
     rng = np.random.default_rng(20)
     tensor = random_tensor(rng, shape=(2, 4, 3, 5))
