@@ -13,8 +13,9 @@ from .convergence import (RelaxationRates, compute_deviations, estimate_rates,
                           pooled_autocorr)
 from .data import (MortalityTensor, build_tensor, drop_country, tensor_from_csv,
                    tensor_from_rows, truncate_tensor)
-from .errors import (ArtifactError, CalibrationMissingError, CsvFormatError,
-                     DataError, DomainError, InsufficientDataError,
+from .errors import (ArtifactError, CalibrationMissingError, ConfigError,
+                     CsvFormatError, DataError, DomainError,
+                     InsufficientDataError,
                      MissingDataError, MortflowError, RankError,
                      ShapeMismatchError, TailConfigError)
 from .evaluation import (CVConfig, CVRecord, GridResult, MetricReport,
@@ -42,7 +43,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtifactError", "BasisFit", "CVConfig", "CVRecord",
-    "CalibrationMissingError", "CorePCA", "CountryState", "CsvFormatError",
+    "CalibrationMissingError", "ConfigError", "CorePCA", "CountryState",
+    "CsvFormatError",
     "DataError", "DomainError", "EraKernel", "ExtendedFn", "FitConfig",
     "FittedModel", "FlowConfig", "FlowField", "ForecastConfig",
     "ForecastResult", "GridResult", "InsufficientDataError", "IntervalBands",

@@ -16,6 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .convergence import RelaxationRates
+from .data import SEXES
 from .errors import ArtifactError
 from .flowfield import FlowConfig, FlowField
 from .forecast import PICalibration
@@ -174,11 +175,43 @@ def model_from_dict(doc):
     rates = RelaxationRates.from_dict(fl["relaxation"])
     calibration = (None if doc["calibration"] is None
                    else PICalibration.from_dict(doc["calibration"]))
-    return FittedModel(model=model, pca=pca, flowfield=flowfield,
-                       rates=rates,
-                       mask=decode_array(doc["mask"]).astype(bool),
-                       origin=int(doc["meta"]["origin"]),
-                       config=config, calibration=calibration)
+    fitted = FittedModel(model=model, pca=pca, flowfield=flowfield,
+                         rates=rates,
+                         mask=decode_array(doc["mask"]).astype(bool),
+                         origin=int(doc["meta"]["origin"]),
+                         config=config, calibration=calibration)
+    _check_sizes(fitted, tuple(tk["ranks"]))
+    return fitted
+
+
+def _check_sizes(fitted, ranks):
+    """Raise ArtifactError where two blocks of a file disagree on a size."""
+    model, pca = fitted.model, fitted.pca
+    labels = {"sex_factor": len(SEXES), "age_factor": model.ages.size,
+              "country_factor": len(model.countries),
+              "year_factor": model.years.size}
+    for name, n in labels.items():
+        rows = getattr(model, name).shape[0]
+        if rows != n:
+            raise ArtifactError(f"{name} has {rows} rows for {n} labels")
+    factor_ranks = tuple(getattr(model, name).shape[1] for name in labels)
+    if not model.core.shape == factor_ranks == ranks:
+        raise ArtifactError(f"core shape {model.core.shape} does not match "
+                            f"ranks {ranks} and factors {factor_ranks}")
+    n_core = int(np.prod(pca.core_shape))
+    if (pca.core_shape != model.core.shape[:2]
+            or pca.loadings.shape[1] != n_core or pca.g_bar.size != n_core):
+        raise ArtifactError(f"loadings {pca.loadings.shape} do not match "
+                            f"core_shape {pca.core_shape}")
+    shape = (len(model.countries), model.years.size)
+    if fitted.mask.shape != shape:
+        raise ArtifactError(f"mask shape {fitted.mask.shape} is not "
+                            f"countries x years {shape}")
+    n = fitted.flowfield.n_components
+    if not len(fitted.rates.alpha_s) == pca.n_components == n:
+        raise ArtifactError(f"{len(fitted.rates.alpha_s)} relaxation rates "
+                            f"and {pca.n_components} loadings for "
+                            f"{n} components")
 
 
 def save_model(fitted, path):
@@ -199,5 +232,5 @@ def load_model(path):
         raise ArtifactError("not a model file: top level is not an object")
     try:
         return model_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ArtifactError(f"malformed model file: {exc}") from exc

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error,
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -18,6 +19,7 @@ from .convergence import half_life
 from .data import tensor_from_csv
 from .errors import (
     CalibrationMissingError,
+    ConfigError,
     CsvFormatError,
     InsufficientDataError,
     MortflowError,
@@ -46,9 +48,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_INTERNAL = 4
 
-# Errors that mean the request itself was wrong, not the data.
-USAGE_ERRORS = (RankError, CalibrationMissingError, CsvFormatError,
-                TailConfigError)
+# Errors that mean the request itself was wrong, not the data.  An input
+# file that is not UTF-8 text raises a UnicodeError.
+USAGE_ERRORS = (RankError, CalibrationMissingError, ConfigError,
+                CsvFormatError, TailConfigError, UnicodeError)
 
 
 class UsageError(Exception):
@@ -101,19 +104,30 @@ def cmd_fit(args):
 
 
 def _read_e0_csv(path):
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["year",
                                                                      "e0"]:
-            raise CsvFormatError(f"{path}: expected header year,e0")
+            raise CsvFormatError(f"{path}: expected header year,e0", line=1)
         years, values = [], []
         for row in reader:
+            line = reader.line_num
             if len(row) != 2:
                 raise CsvFormatError(
-                    f"{path}: row {reader.line_num} has {len(row)} fields")
-            years.append(float(row[0]))
-            values.append(float(row[1]))
+                    f"{path}: {len(row)} fields, expected 2", line=line)
+            try:
+                year, e0 = float(row[0]), float(row[1])
+            except ValueError as exc:
+                raise CsvFormatError(f"{path}: {exc}", line=line) from exc
+            if not (math.isfinite(year) and math.isfinite(e0)):
+                raise CsvFormatError(f"{path}: year and e0 must be finite",
+                                     line=line)
+            if year in years:
+                raise CsvFormatError(f"{path}: repeated year {row[0]}",
+                                     line=line)
+            years.append(year)
+            values.append(e0)
     if len(years) < 2:
         raise UsageError("tier-1 entry needs at least 2 e0 points")
     return np.array(years), np.array(values)
@@ -335,12 +349,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (UsageError, ValueError, OSError, *USAGE_ERRORS) as exc:
+    except (UsageError, OSError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except MortflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -2,13 +2,17 @@
 
 The pipeline consumes a 4-way tensor of logit death probabilities
 (sex x age x country x year) with a country-by-year observation mask.
-This module owns the way raw rows become that tensor: pooling counts
-into temporal bins, converting central rates to probabilities, clamping
-and transforming, and laying out a dense year axis.
+This module owns the way raw rows become that tensor: parsing them into
+typed columns, pooling counts into temporal bins, converting central
+rates to probabilities, clamping and transforming, and laying out a
+dense year axis.
 """
 
 import csv
+import math
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -30,6 +34,15 @@ QX_EPS = 1e-7
 # default top of the age grid; observed ages above it are dropped
 MAX_AGES = 110
 
+# CSV rows parsed into columns at a time: bounds the transient row lists
+BLOCK_ROWS = 4096
+
+_KEYS = ("country", "sex", "age", "year")
+_VALUES = ("mx", "deaths", "exposure")
+_INT64 = 2 ** 63
+# what ends a line when a file is read with newline=""
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+
 
 @dataclass
 class RawSeries:
@@ -45,6 +58,77 @@ class RawSeries:
     deaths: Optional[float] = None
     exposure: Optional[float] = None
     mx: Optional[float] = None
+
+
+@dataclass(eq=False)
+class RawTable:
+    """Observation rows as typed columns, one entry per row.
+
+    ``country`` indexes ``countries`` and ``sex`` indexes SEXES.  A row
+    carries either ``mx`` or ``deaths`` and ``exposure``; a value it
+    does not carry is NaN, since every carried value is finite.
+    ``table[i]`` is row i as a RawSeries.
+    """
+
+    countries: tuple
+    country: np.ndarray
+    sex: np.ndarray
+    age: np.ndarray
+    year: np.ndarray
+    mx: np.ndarray
+    deaths: np.ndarray
+    exposure: np.ndarray
+
+    def __len__(self):
+        return self.age.size
+
+    def __getitem__(self, i):
+        carried = {name: float(getattr(self, name)[i]) for name in _VALUES}
+        return RawSeries(country=self.countries[self.country[i]],
+                         sex=SEXES[self.sex[i]], age=int(self.age[i]),
+                         year=int(self.year[i]),
+                         **{name: None if math.isnan(v) else v
+                            for name, v in carried.items()})
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @classmethod
+    def from_rows(cls, rows):
+        """Table of RawSeries rows; a row no pool could use raises DataError."""
+        codes = {}
+        columns = []
+        for r in rows:
+            _check_series(r)
+            columns.append((codes.setdefault(r.country, len(codes)),
+                            SEXES.index(r.sex), r.age, r.year,
+                            *(math.nan if v is None else v
+                              for v in (r.mx, r.deaths, r.exposure))))
+        return _table(tuple(codes), zip(*columns) if columns else [()] * 7)
+
+
+def _check_series(r):
+    if r.mx is None and (r.deaths is None or r.exposure is None):
+        raise DataError(f"row {r} carries neither mx nor deaths/exposure")
+    carried = [v for v in (r.mx, r.deaths, r.exposure) if v is not None]
+    if not all(math.isfinite(v) for v in carried):
+        raise DataError(f"non-finite count or rate in row {r}")
+    if any(v < 0 for v in carried):
+        raise DataError(f"negative count or rate in row {r}")
+    if r.sex not in SEXES:
+        raise DataError(f"sex must be f or m in row {r}")
+    if r.age < 0:
+        raise DataError(f"negative age in row {r}")
+
+
+def _table(countries, columns):
+    """RawTable from (country, sex, age, year, mx, deaths, exposure) columns."""
+    country, sex, age, year, *values = columns
+    return RawTable(countries, np.asarray(country, dtype=np.int64),
+                    np.asarray(sex, dtype=np.int8),
+                    np.asarray(age, dtype=np.int64),
+                    np.asarray(year, dtype=np.int64),
+                    *(np.asarray(v, dtype=float) for v in values))
 
 
 @dataclass
@@ -117,11 +201,12 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
 
     Parameters
     ----------
-    rows : iterable of RawSeries
+    rows : RawTable, or an iterable of RawSeries
     bin_plan : list of (start, end) inclusive year pairs, optional
-        Defaults to one bin per observed year.  A bin matching no rows at
-        all raises MissingDataError; a country simply absent from a bin
-        yields no schedule there.
+        Defaults to one bin per observed year.  A row joins the first bin
+        in plan order that holds its year; rows in no bin are dropped.
+        A bin matching no rows at all raises MissingDataError; a country
+        simply absent from a bin yields no schedule there.
     n_ages : int, optional
         Top of the age grid.  Defaults to the highest observed age plus
         one, capped at 110.  Higher ages are dropped.
@@ -135,80 +220,94 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
     Notes
     -----
     Count input pools as sum(deaths) / sum(exposure); rate input pools as
-    the unweighted mean of mx.  qx = mx / (1 + mx/2), clamped away from
-    {0, 1} before the logit.
+    the unweighted mean of mx.  Sums run in row order.  qx = mx / (1 +
+    mx/2), clamped away from {0, 1} before the logit.
     """
-    rows = list(rows)
-    if not rows:
+    table = rows if isinstance(rows, RawTable) else RawTable.from_rows(rows)
+    if not len(table):
         raise MissingDataError("no rows supplied")
-    for r in rows:
-        if r.mx is None and (r.deaths is None or r.exposure is None):
-            raise DataError(f"row {r} carries neither mx nor deaths/exposure")
-        if (r.mx is not None and r.mx < 0) or \
-           (r.deaths is not None and r.deaths < 0) or \
-           (r.exposure is not None and r.exposure < 0):
-            raise DataError(f"negative count or rate in row {r}")
-
     if n_ages is None:
-        n_ages = min(max(r.age for r in rows) + 1, MAX_AGES)
+        n_ages = min(int(table.age.max()) + 1, MAX_AGES)
     ages = np.arange(n_ages)
 
+    years, year_of_row = np.unique(table.year, return_inverse=True)
     if bin_plan is None:
-        bin_plan = [(y, y) for y in sorted({r.year for r in rows})]
+        bin_plan = [(y, y) for y in years.tolist()]
+    # a repeated bin pools the same rows again: pool each span once
+    index = {span: k for k, span in enumerate(dict.fromkeys(bin_plan))}
+    spans = list(index)
+    # first match wins: earlier bins overwrite later ones
+    bin_of_year = np.full(years.size, len(spans))
+    for k in range(len(spans) - 1, -1, -1):
+        bin_of_year[np.searchsorted(years, spans[k][0], "left"):
+                    np.searchsorted(years, spans[k][1], "right")] = k
+    bin_of_row = bin_of_year[year_of_row]
+    keep = (table.age < n_ages) & (bin_of_row < len(spans))
 
-    by_bin = {span: [] for span in bin_plan}
-    for r in rows:
-        if r.age >= n_ages:
-            continue
-        for span in bin_plan:
-            if span[0] <= r.year <= span[1]:
-                by_bin[span].append(r)
-                break
+    # one cell per (bin, country) in bin order, countries by name within
+    n_countries = len(table.countries)
+    by_name = sorted(range(n_countries), key=table.countries.__getitem__)
+    rank = np.argsort(by_name)
+    cells, cell_of_row = np.unique(
+        bin_of_row[keep] * n_countries + rank[table.country[keep]],
+        return_inverse=True)
+    slot = (cell_of_row * 2 + table.sex[keep]) * n_ages + table.age[keep]
+    rate = ~np.isnan(table.mx[keep])
 
+    def total(rows, weights=None):
+        out = np.bincount(slot[rows], weights=weights,
+                          minlength=cells.size * 2 * n_ages)
+        return out.reshape(cells.size, 2, n_ages)
+
+    mx_sum = total(rate, table.mx[keep][rate])
+    mx_cnt = total(rate)
+    deaths = total(~rate, table.deaths[keep][~rate])
+    exposure = total(~rate, table.exposure[keep][~rate])
+    have_counts = total(~rate) > 0
+
+    # the first failure in (bin, country) order raises, as a loop would
+    cell_bin = cells // n_countries
+    cell_country = [table.countries[by_name[r]]
+                    for r in (cells % n_countries).tolist()]
+    mixed = (have_counts & (mx_cnt > 0)).any(axis=(1, 2))
+    degenerate = (have_counts & (exposure == 0)).any(axis=(1, 2))
+    empty = np.setdiff1d(np.arange(len(spans)), cell_bin)
+    bad = np.flatnonzero(mixed | degenerate)
+    if empty.size and (not bad.size or empty[0] < cell_bin[bad[0]]):
+        raise MissingDataError(f"bin {spans[empty[0]]} contains no observations")
+    if bad.size:
+        p = bad[0]
+        where = f"{cell_country[p]} bin {spans[cell_bin[p]]}"
+        if mixed[p]:
+            raise DataError(
+                f"{where}: cell mixes mx and deaths/exposure rows")
+        raise DegenerateExposureError(f"{where}: zero total exposure")
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mx = np.where(have_counts,
+                      deaths / np.where(exposure > 0, exposure, 1.0), np.nan)
+        mx = np.where(mx_cnt > 0, mx_sum / np.where(mx_cnt > 0, mx_cnt, 1.0),
+                      mx)
+    finite = np.isfinite(mx)
+    qx = np.where(finite, clamp_qx(mx_to_qx(mx)), np.nan)
+    with np.errstate(invalid="ignore"):
+        lq = logit(qx)
+
+    # bin order, as a loop over the plan fills it: a later bin, or a
+    # repeat of an earlier one, rewrites the years it shares
+    bin_cells = np.searchsorted(cell_bin, np.arange(len(spans) + 1))
+    kept = finite.any(axis=(1, 2))
     schedules = {}
     for span in bin_plan:
-        members = by_bin[span]
-        if not members:
-            raise MissingDataError(f"bin {span} contains no observations")
-        countries = sorted({r.country for r in members})
-        for country in countries:
-            deaths = np.zeros((2, n_ages))
-            exposure = np.zeros((2, n_ages))
-            mx_sum = np.zeros((2, n_ages))
-            mx_cnt = np.zeros((2, n_ages))
-            have_counts = np.zeros((2, n_ages), dtype=bool)
-            for r in members:
-                if r.country != country:
-                    continue
-                s = SEXES.index(r.sex)
-                if r.mx is not None:
-                    mx_sum[s, r.age] += r.mx
-                    mx_cnt[s, r.age] += 1
-                else:
-                    deaths[s, r.age] += r.deaths
-                    exposure[s, r.age] += r.exposure
-                    have_counts[s, r.age] = True
-            if np.any(have_counts & (mx_cnt > 0)):
-                raise DataError(
-                    f"{country} bin {span}: cell mixes mx and deaths/exposure rows"
-                )
-            if np.any(have_counts & (exposure == 0)):
-                raise DegenerateExposureError(
-                    f"{country} bin {span}: zero total exposure"
-                )
-            mx = np.full((2, n_ages), np.nan)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                mx = np.where(have_counts, deaths / np.where(exposure > 0, exposure, 1.0), mx)
-                mx = np.where(mx_cnt > 0, mx_sum / np.where(mx_cnt > 0, mx_cnt, 1.0), mx)
-            if not np.any(np.isfinite(mx)):
+        k = index[span]
+        for p in range(bin_cells[k], bin_cells[k + 1]):
+            if not kept[p]:
                 continue
-            qx = np.where(np.isfinite(mx), clamp_qx(mx_to_qx(mx)), np.nan)
-            with np.errstate(invalid="ignore"):
-                lq = logit(qx)
-            sched = RateSchedule(country=country, ages=ages, mx=mx, qx=qx,
-                                 logit_qx=lq, years=(int(span[0]), int(span[1])))
+            sched = RateSchedule(country=cell_country[p], ages=ages,
+                                 mx=mx[p], qx=qx[p], logit_qx=lq[p],
+                                 years=(int(span[0]), int(span[1])))
             for year in range(span[0], span[1] + 1):
-                schedules[(country, year)] = sched
+                schedules[(cell_country[p], year)] = sched
     return schedules
 
 
@@ -277,16 +376,18 @@ def read_csv(path):
     Layouts (UTF-8, header required):
         country,sex,age,year,deaths,exposure
         country,sex,age,year,mx
-    Sex is coded f/m.  Parse failures raise CsvFormatError carrying the
-    1-based line number.
+    Sex is coded f/m, ages are non-negative integers, and every mx,
+    deaths and exposure value is finite and non-negative.  Rows are
+    parsed in blocks of BLOCK_ROWS into a RawTable.  Parse failures
+    raise CsvFormatError carrying the 1-based line number.
     """
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise CsvFormatError("empty file", line=1)
-        cols = [c.strip() for c in reader.fieldnames]
-        base = {"country", "sex", "age", "year"}
+        cols = [c.strip() for c in header]
+        base = set(_KEYS)
         if not base.issubset(cols):
             raise CsvFormatError(
                 f"missing required columns {sorted(base - set(cols))}", line=1)
@@ -295,33 +396,125 @@ def read_csv(path):
         if has_mx == has_counts:
             raise CsvFormatError(
                 "need either an mx column or deaths+exposure columns", line=1)
-        for rec in reader:
-            line = reader.line_num
+        parser = _BlockParser(header, ("mx",) if has_mx
+                              else ("deaths", "exposure"))
+        try:
+            while True:
+                first = reader.line_num
+                block = list(islice(reader, BLOCK_ROWS))
+                if not block:
+                    break
+                parser.add(block, first, reader.line_num)
+        except csv.Error as exc:
+            raise CsvFormatError(str(exc), line=reader.line_num) from exc
+    if not parser.blocks:
+        raise CsvFormatError("no data rows", line=1)
+    return parser.table()
+
+
+class _BlockParser:
+    """Turns blocks of csv rows into typed columns.
+
+    A block is converted column by column.  If any check fails, the
+    block is parsed again row by row, which raises CsvFormatError at the
+    first bad row; the row parser is the definition of what is valid,
+    the column parser only a fast path that accepts less.
+    """
+
+    def __init__(self, header, values):
+        self.header = header
+        # a repeated column name reads its last field, as in csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        self.index = [index.get(name) for name in _KEYS + values]
+        self.values = values
+        self.names = {}   # country -> code
+        self.codes = {}   # raw country field -> code
+        self.sexes = {}   # raw sex field -> code
+        self.blocks = []
+
+    def add(self, block, first, last):
+        """Parse the csv rows read on lines first+1 to last; skip blank rows."""
+        rows = block if all(block) else [r for r in block if r]
+        if not rows:
+            return
+        try:
+            columns = self._columns(rows)
+        except (ValueError, OverflowError):
+            columns = None
+        self.blocks.append(columns or self._rows(block, first, last))
+
+    def _columns(self, rows):
+        if None in self.index:
+            return None
+        fields = list(zip(*rows))  # as long as the shortest row
+        if len(fields) <= max(self.index):
+            return None
+        country, sex, age, year, *values = (fields[i] for i in self.index)
+        for raw in dict.fromkeys(sex).keys() - self.sexes.keys():
+            code = raw.strip().lower()
+            if code not in SEXES:
+                return None
+            self.sexes[raw] = SEXES.index(code)
+        for raw in dict.fromkeys(country):
+            if raw not in self.codes:
+                self.codes[raw] = self.names.setdefault(raw.strip(),
+                                                        len(self.names))
+        n = len(rows)
+        age = np.fromiter(map(int, age), np.int64, n)
+        year = np.fromiter(map(int, year), np.int64, n)
+        values = [np.fromiter(map(float, v), float, n) for v in values]
+        if (age < 0).any() or not all(np.isfinite(v).all() and (v >= 0).all()
+                                      for v in values):
+            return None
+        return (np.fromiter(map(self.codes.__getitem__, country), np.int64, n),
+                np.fromiter(map(self.sexes.__getitem__, sex), np.int8, n),
+                age, year, *values)
+
+    def _rows(self, block, line, last):
+        parsed = []
+        for row in block:
+            # a row ends as many lines on as it holds line breaks, plus one
+            # (less at the end of a file that leaves a quote open)
+            line = min(last, line + 1 + sum(len(_LINE_BREAK.findall(f))
+                                            for f in row))
+            if not row:
+                continue
+            # the record csv.DictReader builds: absent fields are None
+            rec = dict(zip(self.header, row))
+            rec.update(dict.fromkeys(self.header[len(row):]))
             try:
-                sex = rec["sex"].strip().lower()
-                if sex not in SEXES:
-                    raise ValueError(f"sex must be f or m, got {rec['sex']!r}")
-                kwargs = dict(
-                    country=rec["country"].strip(),
-                    sex=sex,
-                    age=int(rec["age"]),
-                    year=int(rec["year"]),
-                )
-                if has_mx:
-                    kwargs["mx"] = float(rec["mx"])
-                    if kwargs["mx"] < 0:
-                        raise ValueError("mx must be non-negative")
-                else:
-                    kwargs["deaths"] = float(rec["deaths"])
-                    kwargs["exposure"] = float(rec["exposure"])
-                    if kwargs["deaths"] < 0 or kwargs["exposure"] < 0:
-                        raise ValueError("counts must be non-negative")
+                parsed.append(self._record(rec))
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise CsvFormatError(str(exc), line=line) from exc
-            rows.append(RawSeries(**kwargs))
-    if not rows:
-        raise CsvFormatError("no data rows", line=1)
-    return rows
+        return list(zip(*parsed))
+
+    def _record(self, rec):
+        sex = rec["sex"].strip().lower()
+        if sex not in SEXES:
+            raise ValueError(f"sex must be f or m, got {rec['sex']!r}")
+        country = rec["country"].strip()
+        age, year = int(rec["age"]), int(rec["year"])
+        if not 0 <= age < _INT64:
+            raise ValueError("age must be a non-negative integer")
+        if not -_INT64 <= year < _INT64:
+            raise ValueError("year out of range")
+        values = [float(rec[name]) for name in self.values]
+        for name, v in zip(self.values, values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {rec[name]!r}")
+        if any(v < 0 for v in values):
+            raise ValueError("mx must be non-negative" if len(values) == 1
+                             else "counts must be non-negative")
+        return (self.names.setdefault(country, len(self.names)),
+                SEXES.index(sex), age, year, *values)
+
+    def table(self):
+        columns = [np.concatenate(c) for c in zip(*self.blocks)]
+        n = columns[0].size
+        carried = dict(zip(self.values, columns[4:]))
+        return _table(tuple(self.names), columns[:4] + [
+            carried[name] if name in carried else np.full(n, np.nan)
+            for name in _VALUES])
 
 
 def suggest_bins(rows, min_deaths=50):

@@ -17,6 +17,10 @@ class CsvFormatError(DataError):
         self.line = line
 
 
+class ConfigError(MortflowError, ValueError):
+    """A setting lies outside its valid range (a tau of 0, a w of 1.5)."""
+
+
 class MissingDataError(DataError):
     """A requested bin or slice contains no observations."""
 

@@ -157,11 +157,14 @@ def entry_state(fitted, tensor, c, t_origin):
     history = np.moveaxis(tensor.values[:, :, c, obs], -1, 0)
     score_rows = core_scores(fitted.pca,
                              project_schedule(fitted.model, history))
+    # an observed origin is the last history row, already projected
+    observed = obs.size > 0 and obs[-1] == t_origin
     return tier2_state(fitted.model, fitted.pca, fitted.flowfield,
                        tensor.values[:, :, c, t_origin],
                        int(tensor.years[t_origin]),
                        history=(tensor.years[obs].astype(float), score_rows),
-                       country=tensor.countries[c])
+                       country=tensor.countries[c],
+                       scores=score_rows[-1] if observed else None)
 
 
 def _schedule_errors(pred_logit, obs_logit):

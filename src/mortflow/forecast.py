@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .errors import CalibrationMissingError, DataError, \
+from .errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError, ShapeMismatchError
 from .lifetable import e0_by_sex
 from .pca import inverse, jumpoff_residual, score_grid, scores as core_scores
@@ -69,9 +69,9 @@ class ForecastConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"blend weight {self.w} outside [0, 1]")
+            raise ConfigError(f"blend weight {self.w} outside [0, 1]")
         if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+            raise ConfigError("horizon must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -256,17 +256,18 @@ def tier1_state(ff, years, e0_values, country="tier1"):
 
 
 def tier2_state(model, pca, ff, schedule, origin_year, history=None,
-                country="tier2"):
+                country="tier2", scores=None):
     """State from one observed sex-by-age logit schedule.
 
     The schedule is projected into the score space; whatever it leaves
-    behind becomes the jump-off residual.  A (years, scores) history
-    supplies the trailing velocity, otherwise the pooled speed at the
-    projected level is used.
+    behind becomes the jump-off residual.  A caller that has already
+    projected it passes the result as ``scores``.  A (years, scores)
+    history supplies the trailing velocity, otherwise the pooled speed
+    at the projected level is used.
     """
     schedule = np.asarray(schedule, dtype=float)
-    g = project_schedule(model, schedule)
-    s = core_scores(pca, g)
+    s = (core_scores(pca, project_schedule(model, schedule))
+         if scores is None else np.asarray(scores, dtype=float))
     approx = reconstruct_schedule(model, inverse(pca, s))
     if history is not None:
         hist_years, hist_scores = history

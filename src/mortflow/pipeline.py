@@ -14,7 +14,7 @@ import numpy as np
 
 from .convergence import RelaxationRates, estimate_rates
 from .data import MortalityTensor, truncate_tensor
-from .errors import MissingDataError
+from .errors import ConfigError, MissingDataError
 from .flowfield import (
     FlowConfig,
     FlowField,
@@ -77,6 +77,8 @@ class FitConfig:
             elif value is not None:
                 value = index(value) if kind is int else kind(value)
             object.__setattr__(self, f.name, value)
+        if self.n_components < 1:
+            raise ConfigError("n_components must be at least 1")
 
     def flow_config(self):
         return FlowConfig(**{f.name: getattr(self, f.name)

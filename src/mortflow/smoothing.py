@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, EmptyEraError, TailConfigError
+from .errors import ConfigError, DataError, EmptyEraError, TailConfigError
 
 # Knot grids are capped so artifacts stay small and evaluation cheap.
 MAX_KNOTS = 1000
@@ -202,9 +202,9 @@ class EraKernel:
 
     def __post_init__(self):
         if not self.tau > 0:
-            raise ValueError("tau must be positive")
+            raise ConfigError("tau must be positive")
         if not self.window > 0:
-            raise ValueError("window must be positive")
+            raise ConfigError("window must be positive")
 
 
 def era_weights(years, kernel):

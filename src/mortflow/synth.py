@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .data import SEXES, MortalityTensor, RawSeries
+from .errors import ConfigError
 
 DEFAULT_CKS = (0.35, -0.2, 0.12, -0.06)
 
@@ -51,9 +52,9 @@ class SyntheticSpec:
     def __post_init__(self):
         object.__setattr__(self, "cks", tuple(float(c) for c in self.cks))
         if self.n_countries < 1 or self.n_ages < 2 or self.n_years < 2:
-            raise ValueError("world dimensions too small")
+            raise ConfigError("world dimensions too small")
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must be in [0, 1)")
+            raise ConfigError("alpha must be in [0, 1)")
 
     @property
     def n_components(self):

@@ -191,3 +191,90 @@ def reference_forecast(model, pca, ff, state, rates, w, horizon,
         e0.append(sum(reference_e0([1.0 / (1.0 + math.exp(-x)) for x in row])
                       for row in z) / z.shape[0])
     return np.array(scores), np.array(schedules), np.array(e0)
+
+
+def reference_pool(rows, bin_plan=None, n_ages=None):
+    """Pooling by the row-by-row loop ``data.pool_and_convert`` replaced.
+
+    Rows are RawSeries.  Returns (country, year) -> (years, mx, qx,
+    logit_qx), in the order the loop fills it, and raises the same
+    errors, with the same messages, as the loop did.
+    """
+    from scipy.special import logit
+
+    from mortflow.errors import (DataError, DegenerateExposureError,
+                                 MissingDataError)
+
+    sexes = ("f", "m")
+    rows = list(rows)
+    if not rows:
+        raise MissingDataError("no rows supplied")
+    for r in rows:
+        if r.mx is None and (r.deaths is None or r.exposure is None):
+            raise DataError(f"row {r} carries neither mx nor deaths/exposure")
+        if (r.mx is not None and r.mx < 0) or \
+           (r.deaths is not None and r.deaths < 0) or \
+           (r.exposure is not None and r.exposure < 0):
+            raise DataError(f"negative count or rate in row {r}")
+
+    if n_ages is None:
+        n_ages = min(max(r.age for r in rows) + 1, 110)
+    if bin_plan is None:
+        bin_plan = [(y, y) for y in sorted({r.year for r in rows})]
+
+    by_bin = {span: [] for span in bin_plan}
+    for r in rows:
+        if r.age >= n_ages:
+            continue
+        for span in bin_plan:
+            if span[0] <= r.year <= span[1]:
+                by_bin[span].append(r)
+                break
+
+    schedules = {}
+    for span in bin_plan:
+        members = by_bin[span]
+        if not members:
+            raise MissingDataError(f"bin {span} contains no observations")
+        for country in sorted({r.country for r in members}):
+            deaths = np.zeros((2, n_ages))
+            exposure = np.zeros((2, n_ages))
+            mx_sum = np.zeros((2, n_ages))
+            mx_cnt = np.zeros((2, n_ages))
+            have_counts = np.zeros((2, n_ages), dtype=bool)
+            for r in members:
+                if r.country != country:
+                    continue
+                s = sexes.index(r.sex)
+                if r.mx is not None:
+                    mx_sum[s, r.age] += r.mx
+                    mx_cnt[s, r.age] += 1
+                else:
+                    deaths[s, r.age] += r.deaths
+                    exposure[s, r.age] += r.exposure
+                    have_counts[s, r.age] = True
+            if np.any(have_counts & (mx_cnt > 0)):
+                raise DataError(
+                    f"{country} bin {span}: cell mixes mx and deaths/exposure "
+                    "rows")
+            if np.any(have_counts & (exposure == 0)):
+                raise DegenerateExposureError(
+                    f"{country} bin {span}: zero total exposure")
+            mx = np.full((2, n_ages), np.nan)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mx = np.where(have_counts,
+                              deaths / np.where(exposure > 0, exposure, 1.0),
+                              mx)
+                mx = np.where(mx_cnt > 0,
+                              mx_sum / np.where(mx_cnt > 0, mx_cnt, 1.0), mx)
+            if not np.any(np.isfinite(mx)):
+                continue
+            qx = np.where(np.isfinite(mx),
+                          np.clip(mx / (1.0 + mx / 2.0), 1e-7, 1.0 - 1e-7),
+                          np.nan)
+            with np.errstate(invalid="ignore"):
+                lq = logit(qx)
+            entry = ((int(span[0]), int(span[1])), mx, qx, lq)
+            for year in range(span[0], span[1] + 1):
+                schedules[(country, year)] = entry
+    return schedules

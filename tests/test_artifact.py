@@ -196,3 +196,31 @@ def test_config_hash_tracks_config_content():
     assert a == ("335efce04f9b94015a0e31d9dc919d018de1a5cd20dd0cb7ef41d460"
                  "5ab9bd84")
     assert config_hash(FitConfig(tau=15)) == config_hash(FitConfig(tau=15.0))
+
+
+
+# one mutation per size check: name -> (mutate(doc, fitted), message)
+SIZE_MUTATIONS = {
+    "factor rows": (lambda d, f: d["tucker"].update(
+        country_factor=encode_array(f.model.country_factor[:-1])),
+        "country_factor has"),
+    "core shape": (lambda d, f: d["tucker"].update(
+        core=encode_array(f.model.core[..., :-1])), "core shape"),
+    "loadings": (lambda d, f: d["pca"].update(
+        loadings=encode_array(f.pca.loadings[:, :-1])), "loadings"),
+    "mask": (lambda d, f: d.update(mask=encode_array(f.mask[:, :-1])),
+             "mask shape"),
+    "alpha_s": (lambda d, f: d["flowfield"]["relaxation"]["alpha_s"].append(
+        0.5), "relaxation rates"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SIZE_MUTATIONS))
+def test_load_rejects_blocks_that_disagree_on_a_size(fitted, tmp_path, check):
+    doc = model_to_dict(fitted)
+    mutate, message = SIZE_MUTATIONS[check]
+    mutate(doc, fitted)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=message):
+        load_model(path)

@@ -313,3 +313,78 @@ def test_half_life_reference_points():
     assert np.isclose(half_life(2.0 ** -0.1), 10.0)
     assert half_life(0.0) == 0.0
     assert half_life(1.0) == math.inf
+
+
+# --------------------------------------------------------- input errors
+
+
+@pytest.mark.parametrize("body,message", [
+    ("2000,70.0\n2001,abc\n", "could not convert"),
+    ("2000,70.0\n20x1,70.5\n", "could not convert"),
+    ("2000,70.0\n2001,nan\n", "must be finite"),
+    ("2000,70.0\n2001,inf\n", "must be finite"),
+    ("2000,70.0\nnan,70.5\n", "must be finite"),
+    ("2000,70.0\n2000,70.5\n", "repeated year"),
+    ("2000,70.0\n2001\n", "fields"),
+])
+def test_forecast_tier1_bad_row_exits_2_with_its_line(model_json, workdir,
+                                                      capsys, body, message):
+    e0_csv = workdir / "bad_e0.csv"
+    e0_csv.write_text("year,e0\n" + body + "2002,71.0\n")
+    rc = main(["forecast", "--model", str(model_json),
+               "--tier1-e0", str(e0_csv), "--out", str(workdir / "no")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 3:" in err and message in err
+
+
+def test_forecast_tier1_csv_is_read_as_utf8(model_json, workdir, capsys):
+    e0_csv = workdir / "latin1_e0.csv"
+    e0_csv.write_bytes(b"year,e0\n2000,70.0\n2001,7\xb50\n")
+    rc = main(["forecast", "--model", str(model_json),
+               "--tier1-e0", str(e0_csv), "--out", str(workdir / "no")])
+    assert rc == 2
+    assert "utf-8" in capsys.readouterr().err
+
+
+def test_fit_non_finite_rate_exits_2_with_its_line(data_csv, workdir, capsys):
+    rows = data_csv.read_text().splitlines(keepends=True)
+    bad = workdir / "nan.csv"
+    fields = rows[6].split(",")
+    bad.write_text("".join(rows[:6]) + ",".join(fields[:4] + ["nan\n"])
+                   + "".join(rows[7:]))
+    rc = main(["fit", "--input", str(bad), "--out", str(workdir / "no.json")])
+    assert rc == 2
+    assert "line 7: mx must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--model", "{model}", "--country", "S00", "--w", "1.5"],
+    ["forecast", "--model", "{model}", "--country", "S00", "--horizon", "0"],
+    ["fit", "--input", "{train}", "--tau", "0"],
+    ["fit", "--input", "{train}", "--window", "-1"],
+    ["fit", "--input", "{train}", "--pcs", "0"],
+    ["synth", "--alpha", "1.5"],
+    ["synth", "--countries", "0"],
+])
+def test_out_of_range_settings_exit_2(model_json, split_csvs, workdir,
+                                      capsys, argv):
+    train, _ = split_csvs
+    argv = [a.format(model=model_json, train=train) for a in argv]
+    rc = main(argv + ["--out", str(workdir / "never")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_value_error_exits_4(split_csvs, workdir, capsys,
+                                      monkeypatch):
+    # a ValueError from inside the package is a bug, not a usage error
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("mortflow.cli.fit_model", broken)
+    train, _ = split_csvs
+    rc = main(["fit", "--input", str(train),
+               "--out", str(workdir / "never.json")])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("internal error: ")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mortflow.data import (
+    BLOCK_ROWS,
     QX_EPS,
     RawSeries,
+    RawTable,
     build_tensor,
     mx_to_qx,
     pool_and_convert,
@@ -17,10 +20,14 @@ from mortflow.data import (
 )
 from mortflow.errors import (
     CsvFormatError,
+    DataError,
     DegenerateExposureError,
     MissingDataError,
     ShapeMismatchError,
 )
+from mortflow.synth import SyntheticSpec, generate, write_csv
+
+from oracles import reference_pool
 
 
 def rows_for(country, year, mx_f, mx_m):
@@ -264,3 +271,198 @@ def test_suggest_bins_trailing_shortfall_merges_back():
 def test_suggest_bins_rich_years_stay_single():
     plan = suggest_bins(make_death_rows([80, 90, 100]), min_deaths=50)
     assert plan == [(2000, 2000), (2001, 2001), (2002, 2002)]
+
+
+# ----------------------------------------------------------------------
+# Columnar ingest: reference pooling, row checks, line numbers
+# ----------------------------------------------------------------------
+
+def pooled_or_error(pool, rows, **kwargs):
+    try:
+        return pool(rows, **kwargs)
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_pool(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got) == list(want)
+    for key, (years, mx, qx, lq) in want.items():
+        sched = got[key]
+        assert sched.country == key[0] and sched.years == years
+        np.testing.assert_array_equal(sched.ages, np.arange(mx.shape[1]))
+        for a, b in ((sched.mx, mx), (sched.qx, qx), (sched.logit_qx, lq)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def pooling_cases(draw):
+    layout = draw(st.sampled_from(["mx", "counts", "both"]))
+    # values with a prime denominator: their sums round, so the order of
+    # summation shows in the last bits
+    value = st.integers(0, 500_000).map(lambda k: k / 999_983)
+    rows = []
+    for _ in range(draw(st.integers(1, 60))):
+        kind = layout if layout != "both" else draw(
+            st.sampled_from(["mx", "counts"]))
+        cell = dict(country=draw(st.sampled_from("ABC")),
+                    sex=draw(st.sampled_from("fm")),
+                    age=draw(st.integers(0, 4)),
+                    year=draw(st.integers(2000, 2004)))
+        if kind == "mx":
+            rows.append(RawSeries(**cell, mx=draw(value)))
+        else:
+            rows.append(RawSeries(**cell, deaths=100 * draw(value),
+                                  exposure=draw(st.sampled_from(
+                                      [0.0, 1.0, 250.0, 1e4]) | value)))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10))  # duplicates
+    rows = draw(st.permutations(rows))
+    # drawn from a few spans as well, so that plans repeat and overlap
+    span = st.tuples(st.integers(1999, 2005), st.integers(0, 3)).map(
+        lambda p: (p[0], p[0] + p[1]))
+    bin_plan = draw(st.none() | st.lists(
+        span | st.sampled_from([(2000, 2000), (2000, 2002), (2001, 2004)]),
+        min_size=1, max_size=5))
+    n_ages = draw(st.none() | st.integers(1, 6))
+    return rows, bin_plan, n_ages
+
+
+@settings(max_examples=300, deadline=None)
+@given(pooling_cases())
+def test_pooling_matches_row_loop_reference_bit_for_bit(case):
+    # overlapping and multi-year bins, ages above n_ages, duplicate rows,
+    # shuffled order, mixed layouts: same schedules, same first error
+    rows, bin_plan, n_ages = case
+    want = pooled_or_error(reference_pool, rows, bin_plan=bin_plan,
+                           n_ages=n_ages)
+    for given_rows in (rows, RawTable.from_rows(rows)):
+        got = pooled_or_error(pool_and_convert, given_rows,
+                              bin_plan=bin_plan, n_ages=n_ages)
+        assert_same_pool(got, want)
+
+
+def test_repeated_bin_rewrites_its_years_where_the_plan_repeats_it():
+    rows = rows_for("X", 2000, [0.01], [0.02]) + rows_for("X", 2001, [0.03],
+                                                          [0.04])
+    plan = [(2001, 2001), (2000, 2001), (2001, 2001)]
+    schedules = pool_and_convert(rows, bin_plan=plan)
+    assert schedules[("X", 2000)].years == (2000, 2001)
+    assert schedules[("X", 2001)].years == (2001, 2001)
+    assert_same_pool(schedules, reference_pool(rows, bin_plan=plan))
+
+
+def test_csv_round_trip_reproduces_the_world_tensor(tmp_path):
+    # more rows than one parse block holds
+    world = generate(SyntheticSpec(n_countries=6, n_ages=12, n_years=50,
+                                   stagger=3, seed=4))
+    path = tmp_path / "world.csv"
+    write_csv(world, path)
+    assert world.tensor.mask.sum() * 2 * 12 > BLOCK_ROWS
+    tensor = tensor_from_csv(path)
+    assert tensor.countries == world.tensor.countries
+    np.testing.assert_array_equal(tensor.years, world.tensor.years)
+    np.testing.assert_array_equal(tensor.ages, world.tensor.ages)
+    np.testing.assert_array_equal(tensor.mask, world.tensor.mask)
+    obs = tensor.mask
+    np.testing.assert_allclose(tensor.values[:, :, obs],
+                               world.tensor.values[:, :, obs],
+                               rtol=0, atol=1e-12)
+
+
+def test_read_csv_table_indexes_rows(tmp_path):
+    p = tmp_path / "counts.csv"
+    p.write_text("country,sex,age,year,deaths,exposure\n"
+                 " SWE ,F,1,2000,12,3000\n"
+                 "NOR,m,0,2001,0,10.5\n")
+    table = read_csv(p)
+    assert isinstance(table, RawTable) and len(table) == 2
+    assert table[0] == RawSeries(country="SWE", sex="f", age=1, year=2000,
+                                 deaths=12.0, exposure=3000.0)
+    assert list(table)[1] == RawSeries(country="NOR", sex="m", age=0,
+                                       year=2001, deaths=0.0, exposure=10.5)
+    assert RawTable.from_rows(list(table))[1] == table[1]
+
+
+GOOD_ROW = "SWE,f,0,2000,0.004\n"
+# (bad row, line it sits on when it follows the header and one good row)
+MALFORMED_ROWS = {
+    "bad sex": ("SWE,x,1,2000,0.004\n", 3),
+    "bad int": ("SWE,f,zero,2000,0.004\n", 3),
+    "bad year": ("SWE,f,1,2000.5,0.004\n", 3),
+    "bad float": ("SWE,f,1,2000,abc\n", 3),
+    "short row": ("SWE,f,1,2000\n", 3),
+    "negative value": ("SWE,f,1,2000,-0.004\n", 3),
+    "blank lines before": ("\n\nSWE,f,1,2000,abc\n", 5),
+    "quoted line break": ('"S\nWE",x,1,2000,0.004\n', 4),
+}
+
+
+@pytest.mark.parametrize("prefix_blocks", [0, 1])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_csv_errors_name_the_line_of_the_bad_row(tmp_path, case,
+                                                 prefix_blocks):
+    # the line numbers are those of the csv.DictReader loop that the block
+    # parser replaced, also for a bad row after the first block
+    bad, line = MALFORMED_ROWS[case]
+    n_good = 1 + prefix_blocks * (BLOCK_ROWS + 7)
+    p = tmp_path / "bad.csv"
+    p.write_text("country,sex,age,year,mx\n" + GOOD_ROW * n_good + bad
+                 + GOOD_ROW)
+    with pytest.raises(CsvFormatError) as err:
+        read_csv(p)
+    assert err.value.line == line + n_good - 1
+    assert str(err.value).startswith(f"line {err.value.line}: ")
+
+
+@pytest.mark.parametrize("prefix_blocks", [0, 1])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("column", ["mx", "deaths", "exposure"])
+def test_read_csv_rejects_non_finite_values(tmp_path, column, text,
+                                            prefix_blocks):
+    names = ["mx"] if column == "mx" else ["deaths", "exposure"]
+    good = dict(mx="0.01", deaths="3", exposure="300")
+    header = "country,sex,age,year," + ",".join(names) + "\n"
+
+    def row(values):
+        return "X,f,0,2000," + ",".join(values[n] for n in names) + "\n"
+
+    n_good = 2 + prefix_blocks * BLOCK_ROWS
+    p = tmp_path / "nonfinite.csv"
+    p.write_text(header + row(good) * n_good + row({**good, column: text}))
+    with pytest.raises(CsvFormatError, match=f"{column} must be finite") as err:
+        read_csv(p)
+    assert err.value.line == n_good + 2
+
+
+@pytest.mark.parametrize("field", ["mx", "deaths", "exposure"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_raw_series_rejects_non_finite_values(field, value):
+    good = dict(country="X", sex="f", age=0, year=2000)
+    counts = dict(deaths=3.0, exposure=300.0)
+    row = RawSeries(**good, **({**counts, field: value} if field != "mx"
+                               else {"mx": value}))
+    with pytest.raises(DataError, match="non-finite"):
+        pool_and_convert([RawSeries(**good, mx=0.01), row])
+
+
+def test_negative_ages_are_rejected(tmp_path):
+    # they used to wrap round to the top age of the grid
+    p = tmp_path / "age.csv"
+    p.write_text("country,sex,age,year,mx\nX,f,0,2000,0.1\nX,f,-1,2000,0.1\n")
+    with pytest.raises(CsvFormatError, match="age") as err:
+        read_csv(p)
+    assert err.value.line == 3
+    with pytest.raises(DataError, match="negative age"):
+        pool_and_convert([RawSeries(country="X", sex="f", age=-1, year=2000,
+                                    mx=0.1)])
+
+
+def test_csv_module_errors_carry_a_line(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text("country,sex,age,year,mx\nX,f,0,2000,0.1\n"
+                 "X,f,1,2000," + "1" * 200_000 + "\n")
+    with pytest.raises(CsvFormatError, match="field larger") as err:
+        read_csv(p)
+    assert err.value.line == 3

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mortflow.data import MortalityTensor
+from mortflow.data import MortalityTensor, drop_country
 from mortflow.errors import DataError, InsufficientDataError
 from mortflow.evaluation import (
     CVConfig,
@@ -15,6 +15,7 @@ from mortflow.evaluation import (
     _schedule_errors,
     calibrate_pi,
     candidate_origins,
+    entry_state,
     grid_search,
     metric_report,
     read_records_csv,
@@ -24,7 +25,11 @@ from mortflow.evaluation import (
     write_metrics_json,
     write_records_csv,
 )
+from mortflow.forecast import tier2_state
+from mortflow.pca import scores as core_scores
+from mortflow.pipeline import FitConfig, fit_model
 from mortflow.synth import SyntheticSpec, generate
+from mortflow.tucker import project_schedule
 
 
 def make_records(errs, horizons, country="X", origin=2000):
@@ -489,3 +494,25 @@ def test_grid_csv_and_metrics_json(tmp_path):
     json_path = tmp_path / "metrics.json"
     write_metrics_json(report, json_path)
     assert json.loads(json_path.read_text()) == report.to_dict()
+
+
+def test_entry_state_takes_the_origin_from_the_projected_history(cv_world):
+    tensor = cv_world.tensor
+    fitted = fit_model(drop_country(tensor, tensor.countries[0]),
+                       FitConfig(n_components=3))
+    obs = np.flatnonzero(tensor.mask[0])
+    t = int(obs[-5])
+    state = entry_state(fitted, tensor, 0, t)
+    history = np.moveaxis(tensor.values[:, :, 0, obs[obs <= t]], -1, 0)
+    rows = core_scores(fitted.pca, project_schedule(fitted.model, history))
+    np.testing.assert_array_equal(state.scores, rows[-1])
+    # the single-schedule projection of tier2_state agrees to rounding
+    alone = tier2_state(fitted.model, fitted.pca, fitted.flowfield,
+                        tensor.values[:, :, 0, t], int(tensor.years[t]),
+                        history=(tensor.years[obs[obs <= t]].astype(float),
+                                 rows))
+    np.testing.assert_allclose(state.scores, alone.scores, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(state.jumpoff, alone.jumpoff, rtol=0,
+                               atol=1e-12)
+    assert state.velocity == alone.velocity
