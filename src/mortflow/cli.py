@@ -112,6 +112,8 @@ def _read_e0_csv(path):
             raise CsvFormatError(f"{path}: expected header year,e0", line=1)
         years, values = [], []
         for row in reader:
+            if not row:
+                continue
             line = reader.line_num
             if len(row) != 2:
                 raise CsvFormatError(

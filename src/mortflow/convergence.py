@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, MissingDataError, ShapeMismatchError
+from .errors import (DataError, InsufficientDataError, MissingDataError,
+                     ShapeMismatchError)
 
 # lags tried when estimating rates; the fit itself never uses lags > 25
 DEFAULT_MAX_LAG = 30
@@ -98,25 +99,102 @@ def compute_deviations(ff, series_by_country):
     scores against the trajectory curves, again at the raw level.  Entries
     that are None (countries skipped upstream) are ignored.
     """
+    return DeviationSeries(
+        speed=_speed_deviations(ff, series_by_country),
+        structural=_structural_deviations(ff, series_by_country))
+
+
+def _live_series(series_by_country):
+    return [(country, series_by_country[country])
+            for country in sorted(series_by_country)
+            if series_by_country[country] is not None]
+
+
+def _speed_deviations(ff, series_by_country):
     speed = {}
-    structural = [dict() for _ in range(ff.n_components - 1)]
-    for country in sorted(series_by_country):
-        series = series_by_country[country]
-        if series is None:
-            continue
-        if series.scores.shape[1] < ff.n_components:
-            raise ShapeMismatchError(
-                f"{country}: series has {series.scores.shape[1]} components, "
-                f"flow field needs {ff.n_components}"
-            )
+    for country, series in _live_series(series_by_country):
         s1_raw = series.scores[:, 0]
         if s1_raw.size >= 2:
             dv = series.ds1_raw - ff.speed(s1_raw[:-1])
             speed[country] = (series.years[:-1].copy(), dv)
-        for k in range(2, ff.n_components + 1):
-            delta = series.scores[:, k - 1] - ff.trajectory(k)(s1_raw)
+    return speed
+
+
+def _structural_deviations(paths, series_by_country):
+    # paths is a FlowField or its era-free half: both carry n_components
+    # and the trajectory curves, which is all the structural channel reads
+    structural = [dict() for _ in range(paths.n_components - 1)]
+    for country, series in _live_series(series_by_country):
+        if series.scores.shape[1] < paths.n_components:
+            raise ShapeMismatchError(
+                f"{country}: series has {series.scores.shape[1]} components, "
+                f"flow field needs {paths.n_components}"
+            )
+        s1_raw = series.scores[:, 0]
+        for k in range(2, paths.n_components + 1):
+            delta = series.scores[:, k - 1] - paths.trajectory(k)(s1_raw)
             structural[k - 2][country] = (series.years.copy(), delta)
-    return DeviationSeries(speed=speed, structural=tuple(structural))
+    return tuple(structural)
+
+
+def _year_grid(component, pad):
+    """Deviations on a dense country x year grid, countries sorted.
+
+    Returns (values, present, width): values are 0 where ``present`` is
+    False, and up to ``pad`` absent columns follow the last year so that
+    every lag below ``width`` can be sliced at the full ``width``.
+    """
+    countries = sorted(component)
+    series = [(np.asarray(component[c][0]),
+               np.asarray(component[c][1], dtype=float)) for c in countries]
+    for country, (years, values) in zip(countries, series):
+        if years.ndim != 1 or years.shape != values.shape:
+            raise ShapeMismatchError(
+                f"{country}: years and deviations differ in shape")
+    row = np.repeat(np.arange(len(series)), [y.size for y, _ in series])
+    years = np.concatenate([y for y, _ in series] or [np.zeros(0)])
+    whole = years.astype(np.int64)
+    # a year must be whole and above its predecessor in the same country
+    bad = whole != years
+    bad[1:] |= (np.diff(whole) <= 0) & (row[1:] == row[:-1])
+    if np.any(bad):
+        raise DataError(f"{countries[row[np.argmax(bad)]]}: deviation years "
+                        "must be strictly increasing whole years")
+    first = int(whole.min()) if whole.size else 0
+    width = int(whole.max()) - first + 1 if whole.size else 0
+    grid = np.zeros((len(series), width + min(pad, width)))
+    present = np.zeros(grid.shape, dtype=bool)
+    grid[row, whole - first] = np.concatenate([v for _, v in series]
+                                              or [np.zeros(0)])
+    present[row, whole - first] = True
+    return grid, present, width
+
+
+def lag_sums(component, lags):
+    """Pooled lag sums of one deviation component, one entry per lag.
+
+    ``component`` maps country -> (years, values) with whole, strictly
+    increasing years.  For each lag h >= 0 the pairs are the cells
+    observed both in year t and in year t + h of the same country;
+    ``num`` sums value(t + h) * value(t) and ``den`` value(t)**2 over
+    them, and ``pairs`` counts them.  Returns the three as arrays.
+    """
+    if any(h < 0 for h in lags):
+        raise ValueError("lags must be non-negative")
+    grid, present, width = _year_grid(component, max(lags, default=0))
+    head, head_present = grid[:, :width], present[:, :width]
+    num = np.zeros(len(lags))
+    den = np.zeros(len(lags))
+    pairs = np.zeros(len(lags), dtype=np.int64)
+    for i, h in enumerate(lags):
+        if h >= width:
+            continue  # no pair spans more years than the grid holds
+        both = head_present & present[:, h:h + width]
+        v0 = head[both]
+        num[i] = v0 @ grid[:, h:h + width][both]
+        den[i] = v0 @ v0
+        pairs[i] = v0.size
+    return num, den, pairs
 
 
 def pooled_autocorr(component, h):
@@ -127,33 +205,26 @@ def pooled_autocorr(component, h):
     over the same pairs, so lag 0 is exactly 1 and pairs spanning missing
     years simply drop out.
     """
-    num = 0.0
-    den = 0.0
-    pairs = 0
-    for country in sorted(component):
-        years, values = component[country]
-        years = np.asarray(years, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if years.size == 0:
-            continue
-        target = years + float(h)
-        pos = np.searchsorted(years, target)
-        pos_clipped = np.minimum(pos, years.size - 1)
-        ok = (pos < years.size) & (years[pos_clipped] == target)
-        if not np.any(ok):
-            continue
-        v0 = values[ok]
-        v1 = values[pos_clipped[ok]]
-        num += float(np.dot(v1, v0))
-        den += float(np.dot(v0, v0))
-        pairs += int(np.count_nonzero(ok))
+    (num,), (den,), (pairs,) = lag_sums(component, [h])
     if pairs == 0:
         raise MissingDataError(f"no lag-{h} pairs in pooled deviations")
     if den == 0.0:
         raise InsufficientDataError(
             f"deviations identically zero at every lag-{h} pair"
         )
-    return num / den
+    return float(num / den)
+
+
+def beta_curve(component, max_lag):
+    """Pooled autocorrelations at lags 1..max_lag, as (lags, betas).
+
+    Lags without a pair, or whose pairs are all zero at the earlier end,
+    are left out: there pooled_autocorr raises.
+    """
+    lags = np.arange(1, max_lag + 1)
+    num, den, pairs = lag_sums(component, lags)
+    keep = (pairs > 0) & (den != 0.0)
+    return lags[keep].astype(float), num[keep] / den[keep]
 
 
 def fit_rate(betas, lags=None):
@@ -187,26 +258,36 @@ def estimate_rates(ff, series_by_country, max_lag=DEFAULT_MAX_LAG,
     log-linear fit.  Components where fewer than two lags survive fall
     back to ``fallback`` with a warning.
     """
-    devs = compute_deviations(ff, series_by_country)
-    alpha_v = _fit_component(devs.speed, "speed", max_lag, fallback)
-    alpha_s = [0.0]
-    for i, component in enumerate(devs.structural):
-        label = f"component {i + 2}"
-        alpha_s.append(_fit_component(component, label, max_lag, fallback))
-    return RelaxationRates(alpha_v=alpha_v, alpha_s=tuple(alpha_s))
+    alpha_v = speed_rate(ff, series_by_country, max_lag, fallback)
+    return RelaxationRates(
+        alpha_v=alpha_v,
+        alpha_s=structural_rates(ff, series_by_country, max_lag, fallback))
+
+
+def speed_rate(ff, series_by_country, max_lag=DEFAULT_MAX_LAG,
+               fallback=FALLBACK_ALPHA):
+    """The velocity rate alpha_v alone; it depends on the speed curve."""
+    return _fit_component(_speed_deviations(ff, series_by_country), "speed",
+                          max_lag, fallback)
+
+
+def structural_rates(paths, series_by_country, max_lag=DEFAULT_MAX_LAG,
+                     fallback=FALLBACK_ALPHA):
+    """The structural rates alpha_s, led by the pinned 0.0.
+
+    They read only the trajectories, so ``paths`` may be a FlowField or
+    the era-free FlowPaths it was completed from.
+    """
+    components = _structural_deviations(paths, series_by_country)
+    return (0.0, *(_fit_component(component, f"component {i + 2}", max_lag,
+                                  fallback)
+                   for i, component in enumerate(components)))
 
 
 def _fit_component(component, label, max_lag, fallback):
-    lags = []
-    betas = []
-    for h in range(1, max_lag + 1):
-        try:
-            betas.append(pooled_autocorr(component, h))
-        except (MissingDataError, InsufficientDataError):
-            continue
-        lags.append(h)
+    lags, betas = beta_curve(component, max_lag)
     try:
-        return fit_rate(np.array(betas), lags=np.array(lags, dtype=float))
+        return fit_rate(betas, lags=lags)
     except InsufficientDataError:
         warnings.warn(f"{label}: too few usable lags, "
                       f"falling back to alpha={fallback}")

@@ -21,6 +21,14 @@ class ConfigError(MortflowError, ValueError):
     """A setting lies outside its valid range (a tau of 0, a w of 1.5)."""
 
 
+class CVConfigError(ConfigError, DataError):
+    """A cross-validation setting lies outside its valid range.
+
+    A usage error like any ConfigError, and still a DataError, which is
+    what CVConfig raised for these settings before.
+    """
+
+
 class MissingDataError(DataError):
     """A requested bin or slice contains no observations."""
 

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import drop_country
-from .errors import DataError, InsufficientDataError
+from .errors import CVConfigError, DataError, InsufficientDataError
 from .forecast import (
     ForecastConfig,
     PICalibration,
@@ -31,7 +31,8 @@ from .forecast import (
 )
 from .lifetable import e0_by_sex, observed_e0, survivorship
 from .pca import scores as core_scores
-from .pipeline import FitConfig, fit_basis, fit_dynamics, fit_model
+from .pipeline import (FitConfig, fit_basis, fit_model, fit_path_dynamics,
+                       fit_speed_dynamics)
 from .smoothing import lowess
 from .tucker import project_schedule, reconstruct_schedule
 
@@ -106,15 +107,15 @@ class CVConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise DataError("horizon must be at least 1")
+            raise CVConfigError("horizon must be at least 1")
         if self.origin_spacing < 1:
-            raise DataError("origin_spacing must be at least 1")
+            raise CVConfigError("origin_spacing must be at least 1")
         if self.min_train < 2:
-            raise DataError("min_train must be at least 2")
+            raise CVConfigError("min_train must be at least 2")
         if not 0.0 <= self.w <= 1.0:
-            raise DataError(f"blend weight {self.w} outside [0, 1]")
+            raise CVConfigError(f"blend weight {self.w} outside [0, 1]")
         if self.truth not in ("raw", "tucker"):
-            raise DataError(f"unknown truth source {self.truth!r}")
+            raise CVConfigError(f"unknown truth source {self.truth!r}")
 
     def fit_config(self, origin):
         shared = {f.name: getattr(self, f.name) for f in fields(FitConfig)
@@ -302,8 +303,9 @@ def _origin_plan(tensor, config):
 def _inclusive_records(tensor, config, grid_w, grid_tau):
     """Inclusive-flow records of each (w, tau) cell, in origin-plan order.
 
-    Per origin year: one basis fit, one state per entry, one dynamics
-    fit per tau and one forecast per (w, entry).
+    Per origin year: one basis fit, one state per entry, one fit of the
+    era-free dynamics, one speed fit per tau and one forecast per
+    (w, entry).
     """
     plan = _origin_plan(tensor, config)
     observed = observed_e0(tensor.values, tensor.mask)
@@ -313,9 +315,10 @@ def _inclusive_records(tensor, config, grid_w, grid_tau):
         basis = fit_basis(tensor, base_config, clip_ranks=True)
         states = [country_state(basis.model, basis.pca, basis.mask,
                                 tensor.countries[c]) for c, _ in entries]
+        paths, alpha_s = fit_path_dynamics(basis, base_config)
         for tau in grid_tau:
-            ff, rates = fit_dynamics(basis,
-                                     replace(base_config, tau=float(tau)))
+            ff, rates = fit_speed_dynamics(
+                basis, paths, alpha_s, replace(base_config, tau=float(tau)))
             for w in grid_w:
                 fc = ForecastConfig(rates=rates, w=float(w),
                                     horizon=config.horizon)
@@ -356,8 +359,9 @@ def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
     """Pooled-MAE search over blend weights and era time scales.
 
     Each cell's MAE is taken over the inclusive-CV records of that
-    (w, tau), against raw e0, in origin-plan order: one basis fit per
-    origin year, one dynamics fit per (origin, tau), and every candidate
+    (w, tau), against raw e0, in origin-plan order: one basis fit and one
+    era-free dynamics fit per origin year, one speed fit per
+    (origin, tau), and every candidate
     country entered through its own fitted state.  Ties break toward
     smaller tau, then smaller w.  A value repeated within ``grid_w`` or
     ``grid_tau`` raises DataError.

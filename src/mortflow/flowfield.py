@@ -8,7 +8,7 @@ FlowField the forecaster integrates.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,26 +149,40 @@ def truncate_series(series_by_country, origin):
     return out
 
 
-def fit_flowfield(series_by_country, origin, config=None):
-    """Fit the flow field from pooled country series at a given origin.
+@dataclass
+class FlowPaths:
+    """The half of a flow field that the era settings do not touch.
 
-    Parameters
-    ----------
-    series_by_country : mapping of country -> CountryScoreSeries
-        Series extending past the origin are re-smoothed on years <= origin
-        so nothing after the origin can leak in, not even through a
-        smoothing window.
-    origin : int
-        Anchor year of the era kernel and the look-ahead cutoff.
-    config : FlowConfig
+    Trajectories, level maps and the transition are plain fits on raw
+    scores, and the pooled speed observations are fixed by the origin,
+    so one FlowPaths backs the speed fit of every (tau, window, seed).
+    """
 
-    Notes
-    -----
-    The speed function is the era-weighted fit of smoothed velocities on
-    smoothed levels; trajectory functions and the level maps are plain
-    fits on raw scores and ignore the era configuration entirely.  All
-    level-indexed curves get the tangent tail extension anchored at
-    s1_of_e0(transition_e0), clamped into each curve's knot range.
+    speed_obs: tuple
+    trajectories: tuple
+    s1_of_e0: SmoothFn
+    e0_of_s1: ExtendedFn
+    transition: float
+    origin: int
+    config: FlowConfig
+    countries: tuple
+    n_components: int
+
+    def trajectory(self, k):
+        """Trajectory function for score component k (2-based)."""
+        return self.trajectories[k - 2]
+
+
+def fit_paths(series_by_country, origin, config=None):
+    """Fit the era-free half of the flow field at a given origin.
+
+    Series extending past the origin are re-smoothed on years <= origin
+    so nothing after the origin can leak in, not even through a
+    smoothing window.  Trajectory functions and the level maps are plain
+    fits on raw scores; all of them get the tangent tail extension
+    anchored at s1_of_e0(transition_e0), clamped into each curve's knot
+    range.  The smoothed (level, velocity, year) observations that the
+    speed fit pools are kept for ``fit_speed``.
     """
     config = config or FlowConfig()
     truncated = list(truncate_series(series_by_country, origin).values())
@@ -185,9 +199,6 @@ def fit_flowfield(series_by_country, origin, config=None):
     if speed_x.size < MIN_SPEED_OBS:
         raise InsufficientDataError(
             f"{speed_x.size} pooled speed observations; need {MIN_SPEED_OBS}")
-    kernel = EraKernel(origin=float(origin), tau=config.tau, window=config.window)
-    speed_base = era_lowess(speed_x, speed_y, speed_years, kernel,
-                            bandwidth=config.bandwidth, seed=config.seed)
 
     s1 = np.concatenate([s.scores[:, 0] for s in truncated])
     all_scores = np.vstack([s.scores for s in truncated])
@@ -198,16 +209,58 @@ def fit_flowfield(series_by_country, origin, config=None):
     e0_base = lowess(s1, e0, bandwidth=config.bandwidth)
 
     transition = float(s1_of_e0(config.transition_e0))
-    speed = _extend(speed_base, transition, config)
-    trajectories = tuple(_extend(b, transition, config) for b in traj_bases)
-    e0_of_s1 = _extend(e0_base, transition, config)
+    return FlowPaths(
+        speed_obs=(speed_x, speed_y, speed_years),
+        trajectories=tuple(_extend(b, transition, config) for b in traj_bases),
+        s1_of_e0=s1_of_e0, e0_of_s1=_extend(e0_base, transition, config),
+        transition=transition, origin=int(origin), config=config,
+        countries=tuple(s.country for s in truncated),
+        n_components=n_components)
 
-    return FlowField(speed=speed, trajectories=trajectories,
-                     s1_of_e0=s1_of_e0, e0_of_s1=e0_of_s1,
-                     transition=transition, origin=int(origin), kernel=kernel,
-                     config=config,
-                     countries=tuple(s.country for s in truncated),
-                     n_components=n_components)
+
+def fit_speed(paths, tau, window, seed):
+    """Complete a FlowField with the era-weighted speed function.
+
+    The speed function is the era-weighted fit of smoothed velocities on
+    smoothed levels, with the same tail extension as the paths.  Only
+    the era settings are taken here; every other setting is the one the
+    paths were fitted with.
+    """
+    config = replace(paths.config, tau=tau, window=window, seed=seed)
+    kernel = EraKernel(origin=float(paths.origin), tau=config.tau,
+                       window=config.window)
+    speed_base = era_lowess(*paths.speed_obs, kernel,
+                            bandwidth=config.bandwidth, seed=config.seed)
+    return FlowField(speed=_extend(speed_base, paths.transition, config),
+                     trajectories=paths.trajectories,
+                     s1_of_e0=paths.s1_of_e0, e0_of_s1=paths.e0_of_s1,
+                     transition=paths.transition, origin=paths.origin,
+                     kernel=kernel, config=config, countries=paths.countries,
+                     n_components=paths.n_components)
+
+
+def fit_flowfield(series_by_country, origin, config=None):
+    """Fit the flow field from pooled country series at a given origin.
+
+    Parameters
+    ----------
+    series_by_country : mapping of country -> CountryScoreSeries
+        Series extending past the origin are re-smoothed on years <= origin
+        so nothing after the origin can leak in, not even through a
+        smoothing window.
+    origin : int
+        Anchor year of the era kernel and the look-ahead cutoff.
+    config : FlowConfig
+
+    Notes
+    -----
+    The era-free paths (``fit_paths``) completed by the era-weighted
+    speed function (``fit_speed``): trajectory functions and the level
+    maps ignore the era configuration entirely.
+    """
+    config = config or FlowConfig()
+    return fit_speed(fit_paths(series_by_country, origin, config),
+                     config.tau, config.window, config.seed)
 
 
 def _extend(base, transition, config):

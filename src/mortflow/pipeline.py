@@ -12,13 +12,16 @@ from typing import get_args
 
 import numpy as np
 
-from .convergence import RelaxationRates, estimate_rates
+from .convergence import (RelaxationRates, estimate_rates, speed_rate,
+                          structural_rates)
 from .data import MortalityTensor, truncate_tensor
 from .errors import ConfigError, MissingDataError
 from .flowfield import (
     FlowConfig,
     FlowField,
     fit_flowfield,
+    fit_paths,
+    fit_speed,
     series_from_fit,
 )
 from .forecast import (
@@ -176,8 +179,32 @@ def fit_basis(tensor, config=None, clip_ranks=False):
                     mask=work.mask.copy(), origin=origin)
 
 
+def fit_path_dynamics(basis, config=None):
+    """The era-free half of the dynamics: (FlowPaths, alpha_s).
+
+    Neither the paths nor the structural rates read tau, window or seed,
+    so a tuning loop fits this once per basis and ``fit_speed_dynamics``
+    once per era setting.
+    """
+    config = config or FitConfig()
+    paths = fit_paths(basis.series, basis.origin, config.flow_config())
+    return paths, structural_rates(paths, basis.series,
+                                   max_lag=config.max_lag)
+
+
+def fit_speed_dynamics(basis, paths, alpha_s, config=None):
+    """Complete the dynamics with the era settings of ``config``."""
+    config = config or FitConfig()
+    ff = fit_speed(paths, config.tau, config.window, config.seed)
+    alpha_v = speed_rate(ff, basis.series, max_lag=config.max_lag)
+    return ff, RelaxationRates(alpha_v=alpha_v, alpha_s=alpha_s)
+
+
 def fit_dynamics(basis, config=None):
-    """Flow field and relaxation rates on an already-fitted basis."""
+    """Flow field and relaxation rates on an already-fitted basis.
+
+    The same result as ``fit_speed_dynamics`` on ``fit_path_dynamics``.
+    """
     config = config or FitConfig()
     ff = fit_flowfield(basis.series, basis.origin, config.flow_config())
     rates = estimate_rates(ff, basis.series, max_lag=config.max_lag)

@@ -81,14 +81,15 @@ def ar1_path(alpha, sigma_stationary, n, rng):
     return x
 
 
-def reference_pooled_autocorr(series_list, h):
-    """Lag-h pooled autocorrelation over per-country deviation series.
+def reference_lag_sums(series_list, h):
+    """Lag-h pooled sums (num, den, pairs) over per-country deviations.
 
     Each element of ``series_list`` is a (years, values) pair; a lag pair
     counts only when both calendar years are present.
     """
     num = 0.0
     den = 0.0
+    pairs = 0
     for years, values in series_list:
         lookup = {int(y): v for y, v in zip(years, values)}
         for y, v in lookup.items():
@@ -96,7 +97,31 @@ def reference_pooled_autocorr(series_list, h):
             if partner is not None:
                 num += partner * v
                 den += v * v
+                pairs += 1
+    return num, den, pairs
+
+
+def reference_pooled_autocorr(series_list, h):
+    """Lag-h pooled autocorrelation over per-country deviation series."""
+    num, den, _ = reference_lag_sums(series_list, h)
     return num / den
+
+
+def reference_beta_curve(series_list, max_lag):
+    """(lags, betas) by the lag-at-a-time loop of the rate fit.
+
+    A lag is skipped when it has no pair (the loop caught
+    MissingDataError) or when the earlier ends of its pairs are all zero
+    (InsufficientDataError); every other lag keeps num / den.
+    """
+    lags, betas = [], []
+    for h in range(1, max_lag + 1):
+        num, den, pairs = reference_lag_sums(series_list, h)
+        if pairs == 0 or den == 0.0:
+            continue
+        lags.append(h)
+        betas.append(num / den)
+    return lags, betas
 
 
 def reference_lowess(x, y, bandwidth, max_knots=1000):
@@ -278,3 +303,43 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
             for year in range(span[0], span[1] + 1):
                 schedules[(country, year)] = entry
     return schedules
+
+
+def reference_grid(tensor, grid_w, grid_tau, config):
+    """(best, table) of the grid search by one full fit_dynamics per
+    (origin, tau), the loop the split into tau-free and speed halves
+    replaced.  Cells pool their records in origin-plan order.
+    """
+    from dataclasses import replace
+
+    from mortflow.evaluation import _origin_plan, _records_from_result
+    from mortflow.forecast import ForecastConfig, country_state, run_forecast
+    from mortflow.lifetable import observed_e0
+    from mortflow.pipeline import fit_basis, fit_dynamics
+
+    config = replace(config, schedules=False, truth="raw")
+    observed = observed_e0(tensor.values, tensor.mask)
+    errors = {(float(w), float(tau)): [] for w in grid_w for tau in grid_tau}
+    for origin_year, entries in _origin_plan(tensor, config).items():
+        base = config.fit_config(origin_year)
+        basis = fit_basis(tensor, base, clip_ranks=True)
+        for tau in grid_tau:
+            ff, rates = fit_dynamics(basis, replace(base, tau=float(tau)))
+            for w in grid_w:
+                fc = ForecastConfig(rates=rates, w=float(w),
+                                    horizon=config.horizon)
+                for c, t0 in entries:
+                    state = country_state(basis.model, basis.pca, basis.mask,
+                                          tensor.countries[c])
+                    result = run_forecast(basis.model, basis.pca, ff, state,
+                                          fc)
+                    errors[(float(w), float(tau))].extend(
+                        abs(r.err) for r in _records_from_result(
+                            basis.model, result, tensor, observed, c, t0,
+                            config))
+    table = [{"w": float(w), "tau": float(tau),
+              "mae": float(np.mean(errors[(float(w), float(tau))])),
+              "n": len(errors[(float(w), float(tau))])}
+             for w in grid_w for tau in grid_tau]
+    best = min(table, key=lambda row: (row["mae"], row["tau"], row["w"]))
+    return best, table

@@ -388,3 +388,35 @@ def test_internal_value_error_exits_4(split_csvs, workdir, capsys,
                "--out", str(workdir / "never.json")])
     assert rc == 4
     assert capsys.readouterr().err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("flag", [["--w", "2"], ["--horizon", "0"],
+                                  ["--spacing", "0"], ["--min-train", "1"]])
+def test_cv_out_of_range_settings_exit_2(split_csvs, workdir, capsys, flag):
+    train, _ = split_csvs
+    rc = main(["cv", "--input", str(train), *flag,
+               "--out", str(workdir / "never")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_forecast_tier1_skips_blank_lines(model_json, workdir):
+    e0_csv = workdir / "blank_e0.csv"
+    e0_csv.write_text("year,e0\n\n2000,8.0\n\n2001,8.1\n2002,8.2\n\n")
+    prefix = workdir / "blank"
+    rc = main(["forecast", "--model", str(model_json),
+               "--tier1-e0", str(e0_csv), "--horizon", "5",
+               "--out", str(prefix)])
+    assert rc == 0
+    summary = list(csv.reader(open(f"{prefix}_summary.csv")))
+    assert summary[1][2] == "2003"
+
+
+def test_forecast_tier1_error_after_blank_line_names_its_line(
+        model_json, workdir, capsys):
+    e0_csv = workdir / "blank_bad_e0.csv"
+    e0_csv.write_text("year,e0\n2000,8.0\n\n\n2001,abc\n")
+    rc = main(["forecast", "--model", str(model_json),
+               "--tier1-e0", str(e0_csv), "--out", str(workdir / "no")])
+    assert rc == 2
+    assert "line 5:" in capsys.readouterr().err

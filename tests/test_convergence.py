@@ -2,20 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mortflow.convergence import (
     DeviationSeries,
     RelaxationRates,
+    beta_curve,
     compute_deviations,
     estimate_rates,
     fit_rate,
+    lag_sums,
     pooled_autocorr,
 )
-from mortflow.errors import InsufficientDataError, MissingDataError
+from mortflow.errors import DataError, InsufficientDataError, MissingDataError
 from mortflow.flowfield import CountryScoreSeries, FlowConfig, FlowField
 from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
 
-from oracles import ar1_path, reference_pooled_autocorr
+from oracles import (ar1_path, reference_beta_curve, reference_lag_sums,
+                     reference_pooled_autocorr)
 
 
 def affine_line(intercept, slope, lo=-200.0, hi=200.0):
@@ -313,3 +317,83 @@ def test_estimate_rates_falls_back_on_degenerate_deviations():
         rates = estimate_rates(ff, world)
     assert rates.alpha_v == 0.95
     assert rates.alpha_s == (0.0, 0.95, 0.95)
+
+
+# ------------------------------------------------------ dense lag grid
+
+
+@st.composite
+def deviation_components(draw):
+    """A component and a max lag.
+
+    Countries start in different years, miss years inside their span,
+    may hold 0 or 1 years, and are inserted in drawn, not sorted, order;
+    lags can outrun every series, and a zero scale makes den == 0 at
+    lags that still have pairs.
+    """
+    names = draw(st.lists(st.text("ABXYZ", min_size=1, max_size=3),
+                          max_size=5, unique=True))
+    whole_floats = draw(st.booleans())
+    scale = draw(st.sampled_from([0.0, 1.0]))
+    value = st.one_of(st.just(0.0), st.floats(-100.0, 100.0))
+    component = {}
+    for name in names:
+        start = draw(st.integers(1900, 1910))
+        offsets = sorted(draw(st.lists(st.integers(0, 15), max_size=12,
+                                       unique=True)))
+        years = np.array([start + o for o in offsets],
+                         dtype=float if whole_floats else int)
+        values = scale * np.array(draw(st.lists(
+            value, min_size=years.size, max_size=years.size)), dtype=float)
+        component[name] = (years, values)
+    return component, draw(st.integers(1, 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(deviation_components())
+def test_lag_sums_match_reference_at_every_lag(case):
+    component, max_lag = case
+    series_list = [component[c] for c in sorted(component)]
+    magnitudes = [(years, np.abs(values)) for years, values in series_list]
+    num, den, pairs = lag_sums(component, range(max_lag + 1))
+    for h in range(max_lag + 1):
+        want_num, want_den, want_pairs = reference_lag_sums(series_list, h)
+        # the summation order differs: allow 1e-12 of the summed magnitudes
+        size = reference_lag_sums(magnitudes, h)[0]
+        assert pairs[h] == want_pairs
+        assert abs(num[h] - want_num) <= 1e-12 * size
+        assert abs(den[h] - want_den) <= 1e-12 * want_den
+
+    # the same lags are skipped as by the lag-at-a-time loop
+    lags, betas = beta_curve(component, max_lag)
+    want_lags, want_betas = reference_beta_curve(series_list, max_lag)
+    assert lags.tolist() == want_lags
+    for h, got, want in zip(want_lags, betas, want_betas):
+        size = reference_lag_sums(magnitudes, h)[0]
+        assert abs(got - want) <= 1e-12 * size / reference_lag_sums(
+            series_list, h)[1]
+
+    _, den0, pairs0 = reference_lag_sums(series_list, 0)
+    if pairs0 == 0:
+        with pytest.raises(MissingDataError):
+            pooled_autocorr(component, 0)
+    elif den0 == 0.0:
+        with pytest.raises(InsufficientDataError):
+            pooled_autocorr(component, 0)
+    else:
+        assert pooled_autocorr(component, 0) == 1.0
+        np.testing.assert_allclose(
+            pooled_autocorr(component, 0),
+            reference_pooled_autocorr(series_list, 0), rtol=1e-12)
+
+
+@pytest.mark.parametrize("years", [
+    [2000.0, 2001.5, 2003.0],   # not a whole year
+    [2000, 2002, 2002],         # repeated
+    [2003, 2001, 2002],         # unsorted
+])
+def test_lag_sums_reject_years_off_the_integer_grid(years):
+    component = {"A": (np.arange(3.0), np.ones(3)),
+                 "B": (np.array(years), np.ones(3))}
+    with pytest.raises(DataError, match="B: deviation years"):
+        lag_sums(component, [1])

@@ -1,13 +1,18 @@
 import json
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mortflow.data import MortalityTensor, drop_country
-from mortflow.errors import DataError, InsufficientDataError
+from mortflow.errors import ConfigError, DataError, InsufficientDataError
+from mortflow import flowfield
+from mortflow.convergence import estimate_rates
 from mortflow.evaluation import (
+    GRID_TAU,
     CVConfig,
     CVRecord,
     GridResult,
@@ -27,9 +32,12 @@ from mortflow.evaluation import (
 )
 from mortflow.forecast import tier2_state
 from mortflow.pca import scores as core_scores
-from mortflow.pipeline import FitConfig, fit_model
+from mortflow.pipeline import (FitConfig, fit_basis, fit_dynamics, fit_model,
+                               fit_path_dynamics, fit_speed_dynamics)
 from mortflow.synth import SyntheticSpec, generate
 from mortflow.tucker import project_schedule
+
+from oracles import reference_grid
 
 
 def make_records(errs, horizons, country="X", origin=2000):
@@ -516,3 +524,96 @@ def test_entry_state_takes_the_origin_from_the_projected_history(cv_world):
     np.testing.assert_allclose(state.jumpoff, alone.jumpoff, rtol=0,
                                atol=1e-12)
     assert state.velocity == alone.velocity
+
+
+# ------------------------------------------------- dynamics split by tau
+
+
+def test_cv_config_errors_are_usage_and_data_errors():
+    for bad in ({"horizon": 0}, {"origin_spacing": 0}, {"min_train": 1},
+                {"w": 2.0}, {"truth": "oracle"}):
+        with pytest.raises(ConfigError) as info:
+            CVConfig(**bad)
+        assert isinstance(info.value, DataError)
+
+
+def test_grid_search_matches_one_full_fit_per_origin_and_tau(cv_world):
+    config = CVConfig(horizon=10, schedules=False, seed=3)
+    grid_w, grid_tau = (0.2, 1.0), (10.0, 20.0, 30.0)
+    result = grid_search(cv_world.tensor, grid_w, grid_tau, config)
+    best, table = reference_grid(cv_world.tensor, grid_w, grid_tau, config)
+    assert [(r["w"], r["tau"], r["n"]) for r in result.table] == \
+        [(r["w"], r["tau"], r["n"]) for r in table]
+    for got, want in zip(result.table, table):
+        assert abs(got["mae"] - want["mae"]) <= 1e-13 * want["mae"]
+    assert (result.best["w"], result.best["tau"]) == (best["w"], best["tau"])
+
+
+def assert_same_curve(a, b):
+    base_a = getattr(a, "base", a)
+    base_b = getattr(b, "base", b)
+    assert np.array_equal(base_a.knots, base_b.knots)
+    assert np.array_equal(base_a.values, base_b.values)
+    for name in ("transition", "delta", "blend_width", "anchor", "slope"):
+        assert getattr(a, name, None) == getattr(b, name, None)
+
+
+def test_split_dynamics_equal_a_full_fit_bit_for_bit(cv_world):
+    config = FitConfig(origin=int(cv_world.tensor.years[35]), seed=3)
+    basis = fit_basis(cv_world.tensor, config, clip_ranks=True)
+    paths, alpha_s = fit_path_dynamics(basis, config)
+    for tau in GRID_TAU:
+        tau_config = replace(config, tau=tau)
+        ff, rates = fit_speed_dynamics(basis, paths, alpha_s, tau_config)
+        full_ff, full_rates = fit_dynamics(basis, tau_config)
+        apart = flowfield.fit_flowfield(basis.series, basis.origin,
+                                        tau_config.flow_config())
+        for want_ff, want_rates in (
+                (full_ff, full_rates),
+                (apart, estimate_rates(apart, basis.series,
+                                       max_lag=config.max_lag))):
+            assert rates == want_rates
+            assert_same_curve(ff.speed, want_ff.speed)
+            for got, want in zip(ff.trajectories, want_ff.trajectories,
+                                 strict=True):
+                assert_same_curve(got, want)
+            assert_same_curve(ff.s1_of_e0, want_ff.s1_of_e0)
+            assert_same_curve(ff.e0_of_s1, want_ff.e0_of_s1)
+            assert ff.transition == want_ff.transition
+            assert ff.kernel == want_ff.kernel
+            assert ff.config == want_ff.config
+            assert ff.countries == want_ff.countries
+
+
+def test_grid_fits_tau_free_dynamics_once_per_origin(cv_world, monkeypatch):
+    # the trajectory and level-map fits do not read tau: one set per
+    # origin, however many taus the grid holds; only the speed is per tau
+    lowess_callers = Counter()
+    era_fits = []
+    real_lowess, real_era_lowess = flowfield.lowess, flowfield.era_lowess
+
+    def counted_lowess(*args, **kwargs):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):  # a comprehension
+            caller = caller.f_back
+        lowess_callers[caller.f_code.co_name] += 1
+        return real_lowess(*args, **kwargs)
+
+    def counted_era_lowess(*args, **kwargs):
+        era_fits.append(args[3].tau)
+        return real_era_lowess(*args, **kwargs)
+
+    monkeypatch.setattr(flowfield, "lowess", counted_lowess)
+    monkeypatch.setattr(flowfield, "era_lowess", counted_era_lowess)
+    config = CVConfig(horizon=10, schedules=False, seed=3)
+    grid_search(cv_world.tensor, grid_w=(1.0,), grid_tau=GRID_TAU,
+                config=config)
+    tensor = cv_world.tensor
+    n_origins = len({int(tensor.years[t])
+                     for c in range(len(tensor.countries))
+                     for t in candidate_origins(tensor, c, config)})
+    assert n_origins > 1
+    # components 2..K get a trajectory, plus the two level maps
+    assert lowess_callers["fit_paths"] == \
+        n_origins * (config.n_components - 1 + 2)
+    assert era_fits == list(GRID_TAU) * n_origins
