@@ -27,7 +27,8 @@ from .flowfield import (FlowConfig, FlowField, derivative_correlations,
                         fit_flowfield, series_from_fit)
 from .forecast import (CountryState, ForecastConfig, ForecastResult,
                        IntervalBands, PICalibration, apply_intervals,
-                       country_state, run_forecast, tier1_state, tier2_state,
+                       country_state, run_forecast, run_forecasts,
+                       tier1_state, tier2_state,
                        write_schedule_csv, write_summary_csv)
 from .lifetable import e0_by_sex, life_table_e0, survivorship
 from .pca import CorePCA, fit_core_pca, inverse, jumpoff_residual, scores
@@ -61,7 +62,7 @@ __all__ = [
     "load_model", "lowess", "metric_report", "model_from_dict",
     "model_to_dict", "pooled_autocorr", "project_schedule",
     "read_records_csv", "reconstruct_schedule", "run_forecast",
-    "run_inclusive_cv", "run_loco_cv", "save_model", "scores",
+    "run_forecasts", "run_inclusive_cv", "run_loco_cv", "save_model", "scores",
     "series_from_fit", "survivorship", "tensor_from_csv", "tensor_from_rows",
     "tier1_state", "tier2_state", "truncate_tensor", "write_grid_csv",
     "write_metrics_json", "write_records_csv", "write_schedule_csv",

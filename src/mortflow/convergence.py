@@ -110,30 +110,46 @@ def _live_series(series_by_country):
             if series_by_country[country] is not None]
 
 
+def _split_by_country(values, sizes):
+    """Cut a pooled array back into consecutive per-country pieces."""
+    return np.split(values, np.cumsum(sizes)[:-1])
+
+
 def _speed_deviations(ff, series_by_country):
-    speed = {}
-    for country, series in _live_series(series_by_country):
-        s1_raw = series.scores[:, 0]
-        if s1_raw.size >= 2:
-            dv = series.ds1_raw - ff.speed(s1_raw[:-1])
-            speed[country] = (series.years[:-1].copy(), dv)
-    return speed
+    # the speed curve is evaluated once on the pooled levels; np.interp
+    # and the tail blend work element by element, so each country's
+    # deviations are those of a call on its own levels
+    live = [(country, series) for country, series
+            in _live_series(series_by_country) if series.scores.shape[0] >= 2]
+    if not live:
+        return {}
+    levels = [series.scores[:-1, 0] for _, series in live]
+    speed = ff.speed(np.concatenate(levels))
+    return {country: (series.years[:-1].copy(), series.ds1_raw - fitted)
+            for (country, series), fitted in zip(
+                live, _split_by_country(speed, [x.size for x in levels]))}
 
 
 def _structural_deviations(paths, series_by_country):
     # paths is a FlowField or its era-free half: both carry n_components
     # and the trajectory curves, which is all the structural channel reads
-    structural = [dict() for _ in range(paths.n_components - 1)]
-    for country, series in _live_series(series_by_country):
+    live = _live_series(series_by_country)
+    for country, series in live:
         if series.scores.shape[1] < paths.n_components:
             raise ShapeMismatchError(
                 f"{country}: series has {series.scores.shape[1]} components, "
                 f"flow field needs {paths.n_components}"
             )
-        s1_raw = series.scores[:, 0]
-        for k in range(2, paths.n_components + 1):
-            delta = series.scores[:, k - 1] - paths.trajectory(k)(s1_raw)
-            structural[k - 2][country] = (series.years.copy(), delta)
+    if not live:
+        return tuple(dict() for _ in range(paths.n_components - 1))
+    sizes = [series.scores.shape[0] for _, series in live]
+    s1_raw = np.concatenate([series.scores[:, 0] for _, series in live])
+    structural = []
+    for k in range(2, paths.n_components + 1):
+        curve = _split_by_country(paths.trajectory(k)(s1_raw), sizes)
+        structural.append({
+            country: (series.years.copy(), series.scores[:, k - 1] - fitted)
+            for (country, series), fitted in zip(live, curve)})
     return tuple(structural)
 
 

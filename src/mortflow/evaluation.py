@@ -26,7 +26,7 @@ from .forecast import (
     ForecastConfig,
     PICalibration,
     country_state,
-    run_forecast,
+    run_forecasts,
     tier2_state,
 )
 from .lifetable import e0_by_sex, observed_e0, survivorship
@@ -303,9 +303,9 @@ def _origin_plan(tensor, config):
 def _inclusive_records(tensor, config, grid_w, grid_tau):
     """Inclusive-flow records of each (w, tau) cell, in origin-plan order.
 
-    Per origin year: one basis fit, one state per entry, one fit of the
-    era-free dynamics, one speed fit per tau and one forecast per
-    (w, entry).
+    Per origin year: one basis fit, one state per entry read off its
+    score grid, one fit of the era-free dynamics, and per tau one speed
+    fit and one engine run over every (w, entry).
     """
     plan = _origin_plan(tensor, config)
     observed = observed_e0(tensor.values, tensor.mask)
@@ -314,18 +314,20 @@ def _inclusive_records(tensor, config, grid_w, grid_tau):
         base_config = config.fit_config(origin_year)
         basis = fit_basis(tensor, base_config, clip_ranks=True)
         states = [country_state(basis.model, basis.pca, basis.mask,
-                                tensor.countries[c]) for c, _ in entries]
+                                tensor.countries[c], grid=basis.grid)
+                  for c, _ in entries]
+        ws = np.repeat(np.asarray(grid_w, dtype=float), len(states))
         paths, alpha_s = fit_path_dynamics(basis, base_config)
         for tau in grid_tau:
             ff, rates = fit_speed_dynamics(
                 basis, paths, alpha_s, replace(base_config, tau=float(tau)))
-            for w in grid_w:
-                fc = ForecastConfig(rates=rates, w=float(w),
-                                    horizon=config.horizon)
+            results = run_forecasts(
+                basis.model, basis.pca, ff, states * len(grid_w),
+                ForecastConfig(rates=rates, horizon=config.horizon), w=ws)
+            for i, w in enumerate(grid_w):
                 cell = cells[(float(w), float(tau))]
-                for (c, t0), state in zip(entries, states):
-                    result = run_forecast(basis.model, basis.pca, ff, state,
-                                          fc)
+                chunk = results[i * len(states):(i + 1) * len(states)]
+                for (c, t0), result in zip(entries, chunk):
                     cell.extend(_records_from_result(
                         basis.model, result, tensor, observed, c, t0, config))
     return cells

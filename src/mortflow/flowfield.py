@@ -74,13 +74,15 @@ def build_country_series(country, years, scores, e0, bandwidth=None):
                               ds1_smooth=ds1_smooth, e0=e0)
 
 
-def series_from_fit(model, pca, tensor):
+def series_from_fit(model, pca, tensor, grid=None):
     """Country series for every sufficiently observed country in a fit.
 
-    Scores come from the fitted score space; life expectancy from the
-    observed logit schedules themselves.
+    Scores come from the fitted score space (``grid``, which is
+    ``score_grid(model, pca)`` and is built here if not passed); life
+    expectancy from the observed logit schedules themselves.
     """
-    grid = score_grid(model, pca)
+    if grid is None:
+        grid = score_grid(model, pca)
     e0 = observed_e0(tensor.values, tensor.mask)
     out = {}
     for c, country in enumerate(tensor.countries):

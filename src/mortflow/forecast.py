@@ -4,11 +4,13 @@ The level score steps along the blended speed field one horizon at a
 time.  Over its whole path at once, the structural scores relax toward
 their trajectories, the sex-by-age logit schedules are rebuilt with a
 decaying jump-off correction, and life expectancy is read off them.
-Everything is a pure function of the fitted objects: no randomness, no
-mutation, so reruns are bit-identical.
+The engine runs a batch of states side by side; a single forecast is
+the batch of one.  Everything is a pure function of the fitted objects:
+no randomness, no mutation, so reruns are bit-identical.
 """
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,27 +119,47 @@ class ForecastResult:
     intervals: IntervalBands | None = None
 
 
+@dataclass(frozen=True)
+class _StateBatch:
+    """B states stacked for one engine run.
+
+    ``scores`` (B, 1, N) and ``jumpoff`` (B, 1, S, A) carry a unit
+    horizon axis, so the helpers written for one state broadcast them
+    against (B, H, ...) paths unchanged.  ``velocity`` is (B,), and a
+    scalar for a batch of one: the level recursion is the serial part of
+    the engine, and numpy's scalar arithmetic costs a fraction of its
+    arithmetic on one-element arrays.
+    """
+
+    scores: np.ndarray
+    velocity: np.ndarray
+    jumpoff: np.ndarray
+
+
 def step_speed(ff, state, w, alpha_v, h, s1_prev):
     """One unit step of the level score under the blended speed.
 
     The country weight (1-w)*alpha_v**h multiplies the trailing velocity;
     at w=1 it is exactly zero, so the step cannot depend on the country
-    term at all.
+    term at all.  A (B,) batch of levels, weights and velocities steps
+    element by element.
     """
     blend = (1.0 - w) * alpha_v ** h
-    v = (1.0 - blend) * float(ff.speed(s1_prev)) + blend * state.velocity
+    v = (1.0 - blend) * ff.speed(s1_prev) + blend * state.velocity
     return v, s1_prev + v
 
 
 def relax_scores(ff, state, rates, h, s1_h):
     """Structural scores at horizon h, decayed toward the trajectories.
 
-    Scalar h and s1_h give (N-1,); an (H,) axis on both gives (H, N-1).
+    Scalar h and s1_h give (N-1,); an (H,) axis on both gives (H, N-1),
+    and a batch's (B, H) levels give (B, H, N-1).
     """
     n = ff.n_components
     weight = np.asarray(rates.alpha_s[1:n]) ** np.asarray(h)[..., None]
-    canonical = np.array([ff.trajectory(k)(s1_h) for k in range(2, n + 1)]).T
-    return weight * state.scores[1:n] + (1.0 - weight) * canonical
+    canonical = np.stack([ff.trajectory(k)(s1_h) for k in range(2, n + 1)],
+                         axis=-1)
+    return weight * state.scores[..., 1:n] + (1.0 - weight) * canonical
 
 
 def jumpoff_weight(h, tau_blend=2.0):
@@ -146,7 +168,10 @@ def jumpoff_weight(h, tau_blend=2.0):
 
 
 def reconstruct_with_jumpoff(model, pca, state, scores_h, h, tau_blend=2.0):
-    """Logit schedule (S, A) at horizon h; an (H,) axis gives (H, S, A)."""
+    """Logit schedule (S, A) at horizon h; an (H,) axis gives (H, S, A).
+
+    A batch's (B, H, N) scores give (B, H, S, A).
+    """
     base = reconstruct_schedule(model, inverse(pca, scores_h))
     weight = jumpoff_weight(np.asarray(h)[..., None, None], tau_blend)
     return base + weight * state.jumpoff
@@ -155,40 +180,66 @@ def reconstruct_with_jumpoff(model, pca, state, scores_h, h, tau_blend=2.0):
 def run_forecast(model, pca, ff, state, config):
     """Integrate the flow from a country state out to config.horizon.
 
-    Only the level score is stepped; the structural scores, schedules
-    and life expectancy are array functions of its path.  Life
-    expectancy never feeds back into the navigation.
+    The one-state view of ``run_forecasts``.
+    """
+    return run_forecasts(model, pca, ff, [state], config)[0]
+
+
+def run_forecasts(model, pca, ff, states, config, w=None):
+    """Integrate the flow from each of ``states`` out to config.horizon.
+
+    ``w`` holds one blend weight per state; it defaults to config.w for
+    all of them.  The states share the flow field, the rates and the
+    horizon, and run side by side: the level scores step as one (B,)
+    array, and the structural scores, schedules and life expectancy are
+    array functions of their paths.  Every state's forecast equals the
+    one it gets alone, bit for bit.  Life expectancy never feeds back
+    into the navigation.  Returns one ForecastResult per state.
     """
     rates = config.rates
-    if len(rates.alpha_s) < ff.n_components:
+    n = ff.n_components
+    if len(rates.alpha_s) < n:
         raise ShapeMismatchError(
             f"rates cover {len(rates.alpha_s)} components, flow field has "
-            f"{ff.n_components}")
-    if state.scores.size < ff.n_components:
+            f"{n}")
+    if any(state.scores.size < n for state in states):
         raise ShapeMismatchError("state scores shorter than the score space")
+    w = np.broadcast_to(np.asarray(config.w if w is None else w, dtype=float),
+                        (len(states),))
+    if not np.all((w >= 0.0) & (w <= 1.0)):
+        raise ConfigError("blend weights must lie in [0, 1]")
+    shape = (model.sex_factor.shape[0], model.age_factor.shape[0])
+    batch = _StateBatch(
+        scores=np.stack([state.scores[:n] for state in states])[:, None],
+        velocity=np.squeeze([state.velocity for state in states])[()],
+        jumpoff=np.stack([np.broadcast_to(state.jumpoff, shape)
+                          for state in states])[:, None])
     horizons = np.arange(1, config.horizon + 1)
-    s1 = np.empty(config.horizon)
-    level = float(state.scores[0])
+    s1 = np.empty((len(states), config.horizon))
+    # squeezed like the velocities, for the same reason
+    level, w = np.squeeze(batch.scores[:, 0, 0])[()], np.squeeze(w)[()]
     for h in range(1, config.horizon + 1):
-        _, level = step_speed(ff, state, config.w, rates.alpha_v, h, level)
-        s1[h - 1] = level
-    sk = relax_scores(ff, state, rates, horizons, s1)
-    scores = np.column_stack((s1, sk))
-    schedules = reconstruct_with_jumpoff(model, pca, state, scores, horizons)
+        _, level = step_speed(ff, batch, w, rates.alpha_v, h, level)
+        s1[:, h - 1] = level
+    sk = relax_scores(ff, batch, rates, horizons, s1)
+    scores = np.concatenate((s1[..., None], sk), axis=-1)
+    schedules = reconstruct_with_jumpoff(model, pca, batch, scores, horizons)
     e0_sex = e0_by_sex(schedules)
-    crossings = int(np.count_nonzero(schedules[:, 1, :] < schedules[:, 0, :]))
-    return ForecastResult(
+    e0_avg = e0_sex.mean(axis=-1)
+    crossings = np.count_nonzero(schedules[..., 1, :] < schedules[..., 0, :],
+                                 axis=(1, 2))
+    return [ForecastResult(
         country=state.country,
         origin_year=state.origin_year,
         horizons=horizons,
         years=state.origin_year + horizons,
-        scores=scores,
-        schedules=schedules,
-        e0_by_sex=e0_sex,
-        e0_avg=e0_sex.mean(axis=1),
+        scores=scores[b],
+        schedules=schedules[b],
+        e0_by_sex=e0_sex[b],
+        e0_avg=e0_avg[b],
         ages=tuple(model.ages),
-        sex_crossings=crossings,
-    )
+        sex_crossings=int(crossings[b]),
+    ) for b, state in enumerate(states)]
 
 
 def _trailing_velocity(years, s1_values):
@@ -201,7 +252,7 @@ def _trailing_velocity(years, s1_values):
     return float(diffs[-min(TRAILING_WINDOW, diffs.size):].mean())
 
 
-def country_state(model, pca, mask, country, origin_year=None):
+def country_state(model, pca, mask, country, origin_year=None, grid=None):
     """State for a country inside the fitted score grid.
 
     Scores come from the fitted grid at the last observed year at or
@@ -209,6 +260,8 @@ def country_state(model, pca, mask, country, origin_year=None):
     factorization the retained components leave behind there.  Needs only
     the fitted model, the component basis, and the observation mask, so a
     saved model can rebuild the state without the training data.
+    ``grid`` is ``score_grid(model, pca)`` if the caller holds it;
+    otherwise it is built here.
     """
     try:
         c = model.countries.index(country)
@@ -221,7 +274,8 @@ def country_state(model, pca, mask, country, origin_year=None):
     if observed.size < 2:
         raise InsufficientDataError(
             f"{country}: need at least 2 observed years at the origin")
-    grid = score_grid(model, pca)
+    if grid is None:
+        grid = score_grid(model, pca)
     t = int(observed[-1])
     s = grid[c, t]
     velocity = _trailing_velocity(years[observed].astype(float),
@@ -300,19 +354,33 @@ def apply_intervals(result, calibration):
     return replace(result, intervals=bands)
 
 
+def _csv_cells(*fields):
+    """Fields as csv.writer formats them, each followed by a comma."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_schedule_csv(result, path):
-    """Long-form per-age export: one row per horizon, sex and age."""
+    """Long-form per-age export: one row per horizon, sex and age.
+
+    The bytes are those of a csv.writer row per cell; the fixed columns
+    are formatted once per (horizon, sex) and the values read as Python
+    floats, whose repr is what csv.writer writes.
+    """
+    logit_qx = np.asarray(result.schedules, dtype=float)
+    qx = expit(logit_qx).tolist()
+    logit_qx = logit_qx.tolist()
+    ages = [_csv_cells(age) for age in result.ages]
+    lines = ["country,horizon,year,sex,age,qx,logit_qx\r\n"]
+    for i, h in enumerate(result.horizons):
+        for s, sex in enumerate(SEX_LABELS):
+            prefix = _csv_cells(result.country, int(h), int(result.years[i]),
+                                sex)
+            lines.extend(f"{prefix}{age}{q!r},{z!r}\r\n" for age, q, z
+                         in zip(ages, qx[i][s], logit_qx[i][s]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["country", "horizon", "year", "sex", "age",
-                         "qx", "logit_qx"])
-        for i, h in enumerate(result.horizons):
-            for s, sex in enumerate(SEX_LABELS):
-                for a, age in enumerate(result.ages):
-                    logit_qx = result.schedules[i, s, a]
-                    writer.writerow([result.country, int(h),
-                                     int(result.years[i]), sex, age,
-                                     float(expit(logit_qx)), float(logit_qx)])
+        fh.write("".join(lines))
 
 
 def write_summary_csv(result, path):

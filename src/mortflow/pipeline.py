@@ -6,7 +6,7 @@ component space, derive country series, fit the flow field, and estimate
 relaxation rates from the same truncated series the flow field saw.
 """
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import index
 from typing import get_args
 
@@ -31,7 +31,7 @@ from .forecast import (
     country_state,
     run_forecast,
 )
-from .pca import CorePCA, fit_core_pca
+from .pca import CorePCA, fit_core_pca, score_grid
 from .tucker import TuckerModel, hosvd
 
 # factor ranks used on the full production corpus: both sexes, single
@@ -106,7 +106,12 @@ class FitConfig:
 
 @dataclass
 class FittedModel:
-    """A complete fit: basis, component space, dynamics, bookkeeping."""
+    """A complete fit: basis, component space, dynamics, bookkeeping.
+
+    ``grid`` is derived from the model and the component space and never
+    saved: a fit hands over the one it built, a loaded model builds it on
+    first use, and ``dataclasses.replace`` starts it afresh.
+    """
 
     model: TuckerModel
     pca: CorePCA
@@ -116,10 +121,19 @@ class FittedModel:
     origin: int
     config: FitConfig
     calibration: PICalibration | None = None
+    _grid: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    @property
+    def grid(self):
+        """Scores at every (country, year) cell, shape (C, T, N)."""
+        if self._grid is None:
+            self._grid = score_grid(self.model, self.pca)
+        return self._grid
 
     def state(self, country, origin_year=None):
         return country_state(self.model, self.pca, self.mask, country,
-                             origin_year=origin_year)
+                             origin_year=origin_year, grid=self.grid)
 
     def forecast(self, country, horizon=50, w=1.0, origin_year=None,
                  intervals=False):
@@ -143,6 +157,8 @@ class BasisFit:
 
     The series depend only on the basis and the origin, so one BasisFit
     can back several flow-field fits with different era settings.
+    ``grid`` is ``score_grid(model, pca)``, the (C, T, N) scores that the
+    series and every in-panel state read.
     """
 
     model: TuckerModel
@@ -150,6 +166,7 @@ class BasisFit:
     series: dict
     mask: np.ndarray
     origin: int
+    grid: np.ndarray
 
 
 def fit_basis(tensor, config=None, clip_ranks=False):
@@ -174,9 +191,10 @@ def fit_basis(tensor, config=None, clip_ranks=False):
         ranks = tuple(min(r, c) for r, c in zip(ranks, _mode_caps(work.shape)))
     model = hosvd(work, ranks)
     pca = fit_core_pca(model, work.mask, n_components=config.n_components)
-    series = series_from_fit(model, pca, work)
+    grid = score_grid(model, pca)
+    series = series_from_fit(model, pca, work, grid=grid)
     return BasisFit(model=model, pca=pca, series=series,
-                    mask=work.mask.copy(), origin=origin)
+                    mask=work.mask.copy(), origin=origin, grid=grid)
 
 
 def fit_path_dynamics(basis, config=None):
@@ -216,6 +234,8 @@ def fit_model(tensor, config=None, clip_ranks=False):
     config = config or FitConfig()
     basis = fit_basis(tensor, config, clip_ranks=clip_ranks)
     ff, rates = fit_dynamics(basis, config)
-    return FittedModel(model=basis.model, pca=basis.pca, flowfield=ff,
-                       rates=rates, mask=basis.mask, origin=basis.origin,
-                       config=config)
+    fitted = FittedModel(model=basis.model, pca=basis.pca, flowfield=ff,
+                         rates=rates, mask=basis.mask, origin=basis.origin,
+                         config=config)
+    fitted._grid = basis.grid
+    return fitted

@@ -19,6 +19,11 @@ MAX_KNOTS = 1000
 # Bootstrap resample size cap for the era-weighted fit.
 MAX_RESAMPLE = 20000
 
+# LOWESS fits its knots in chunks of about this many (knot, point)
+# cells, 4 MB per temporary, so that a fit's transient memory stays
+# below what the factorization already holds.
+WINDOW_CELLS = 500_000
+
 
 @dataclass
 class SmoothFn:
@@ -162,8 +167,7 @@ def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
 
     fitted = np.empty(knots.size)
     dead = np.zeros(knots.size, dtype=bool)
-    # chunk the knot loop so the (knots x span) window stays small
-    chunk = max(1, 2_000_000 // span)
+    chunk = max(1, WINDOW_CELLS // span)
     offsets = np.arange(span)
     for lo in range(0, knots.size, chunk):
         rows = slice(lo, lo + chunk)
@@ -175,7 +179,7 @@ def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
     # mean takes every point within h, ties outside the window included;
     # both are rare, so those knots are refitted against all n points.
     redo = np.flatnonzero(dead | (h_raw < h_floor))
-    chunk = max(1, 2_000_000 // n)
+    chunk = max(1, WINDOW_CELLS // n)
     for lo in range(0, redo.size, chunk):
         rows = redo[lo:lo + chunk]
         fitted[rows], _ = _fit_knots(x - knots[rows, None], y, h[rows])
@@ -274,10 +278,16 @@ class ExtendedFn:
                    blend_width=float(blend_width), anchor=anchor, slope=slope)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
+        # [()] turns a 0-d input into a numpy scalar, whose arithmetic
+        # is several times cheaper; the engine steps one state as one
+        s = np.asarray(s, dtype=float)[()]
         line = self.anchor + self.slope * (s - self.transition)
-        w = smoothstep(np.clip((self.transition - s) / self.blend_width,
-                               0.0, 1.0))
+        # maximum/minimum rather than np.clip: a fraction of the cost on
+        # scalars and small arrays, and t * t erases the one place they
+        # differ, the sign of a zero
+        t = np.minimum(np.maximum((self.transition - s) / self.blend_width,
+                                  0.0), 1.0)
+        w = smoothstep(t)
         out = (1.0 - w) * self.base(s) + w * line
         return out if out.ndim else float(out)
 

@@ -4,9 +4,11 @@ Everything here is written the slow, obvious way (explicit loops, brute
 force simulation) and must stay independent of the package internals.
 """
 
+import csv
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def simulate_cohort_e0(qx, n_paths, seed):
@@ -216,6 +218,40 @@ def reference_forecast(model, pca, ff, state, rates, w, horizon,
         e0.append(sum(reference_e0([1.0 / (1.0 + math.exp(-x)) for x in row])
                       for row in z) / z.shape[0])
     return np.array(scores), np.array(schedules), np.array(e0)
+
+
+def reference_schedule_csv(result, path):
+    """The per-age export written one csv.writer row per cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["country", "horizon", "year", "sex", "age",
+                         "qx", "logit_qx"])
+        for i, h in enumerate(result.horizons):
+            for s, sex in enumerate(("f", "m")):
+                for a, age in enumerate(result.ages):
+                    z = result.schedules[i, s, a]
+                    writer.writerow([result.country, int(h),
+                                     int(result.years[i]), sex, age,
+                                     float(expit(z)), float(z)])
+
+
+def reference_deviations(ff, series_by_country):
+    """(speed, structural) deviations, each curve called per country."""
+    speed = {}
+    structural = [dict() for _ in range(ff.n_components - 1)]
+    for country in sorted(series_by_country):
+        series = series_by_country[country]
+        if series is None:
+            continue
+        s1 = series.scores[:, 0]
+        if s1.size >= 2:
+            speed[country] = (series.years[:-1],
+                              series.ds1_raw - ff.speed(s1[:-1]))
+        for k in range(2, ff.n_components + 1):
+            structural[k - 2][country] = (
+                series.years,
+                series.scores[:, k - 1] - ff.trajectory(k)(s1))
+    return speed, tuple(structural)
 
 
 def reference_pool(rows, bin_plan=None, n_ages=None):

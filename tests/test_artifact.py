@@ -1,6 +1,7 @@
 """Persistence tests: exact round trips, canonical bytes, validation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from mortflow.artifact import (
     model_to_dict,
     save_model,
 )
-from mortflow.errors import ArtifactError
-from mortflow.forecast import PICalibration
+from mortflow.errors import ArtifactError, InsufficientDataError
+from mortflow.forecast import PICalibration, country_state
 from mortflow.pipeline import FitConfig, fit_model
 from mortflow.smoothing import SmoothFn
 from mortflow.synth import SyntheticSpec, generate
@@ -224,3 +225,64 @@ def test_load_rejects_blocks_that_disagree_on_a_size(fitted, tmp_path, check):
     path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match=message):
         load_model(path)
+
+
+def _state_bytes(state):
+    return (state.scores.tobytes(), float(state.velocity).hex(),
+            state.jumpoff.tobytes(), state.origin_year)
+
+
+def _states(fitted_model, state_of):
+    """Every in-panel state at several origins; errors by their type."""
+    years = fitted_model.model.years
+    out = {}
+    for country in fitted_model.model.countries:
+        for origin_year in (None, int(years[-4]), int(years[years.size // 2]),
+                            int(years[3])):
+            try:
+                out[country, origin_year] = _state_bytes(
+                    state_of(country, origin_year))
+            except InsufficientDataError as exc:
+                out[country, origin_year] = type(exc)
+    return out
+
+
+def test_states_from_the_derived_grid_equal_rebuilt_states(fitted, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fitted, path)
+    loaded = load_model(path)
+    assert loaded._grid is None  # built on first use, not at load
+    # every state rebuilding the whole score grid, as country_state does
+    # when it is not handed one
+    want = _states(fitted, lambda country, origin_year: country_state(
+        fitted.model, fitted.pca, fitted.mask, country,
+        origin_year=origin_year))
+    assert any(v is InsufficientDataError for v in want.values())
+    assert _states(fitted, fitted.state) == want
+    assert _states(loaded, loaded.state) == want
+    assert loaded._grid is not None
+
+
+def test_derived_grid_is_never_saved(fitted, tmp_path):
+    save_model(fitted, tmp_path / "fitted.json")
+    untouched = load_model(tmp_path / "fitted.json")
+    save_model(untouched, tmp_path / "untouched.json")
+    touched = load_model(tmp_path / "fitted.json")
+    touched.state(touched.model.countries[0])
+    save_model(touched, tmp_path / "touched.json")
+    blob = (tmp_path / "fitted.json").read_bytes()
+    assert (tmp_path / "untouched.json").read_bytes() == blob
+    assert (tmp_path / "touched.json").read_bytes() == blob
+    assert "_grid" not in repr(touched)
+
+
+def test_replace_rederives_the_grid(fitted):
+    country = fitted.model.countries[1]
+    before = fitted.state(country)
+    model = replace(fitted.model,
+                    year_factor=fitted.model.year_factor[::-1].copy())
+    other = replace(fitted, model=model)
+    got = other.state(country)
+    want = country_state(model, fitted.pca, fitted.mask, country)
+    assert _state_bytes(got) == _state_bytes(want)
+    assert not np.array_equal(got.scores, before.scores)

@@ -1,5 +1,7 @@
 """Relaxation-rate estimation: deviations, pooled autocorrelation, fits."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,8 @@ from mortflow.errors import DataError, InsufficientDataError, MissingDataError
 from mortflow.flowfield import CountryScoreSeries, FlowConfig, FlowField
 from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
 
-from oracles import (ar1_path, reference_beta_curve, reference_lag_sums,
-                     reference_pooled_autocorr)
+from oracles import (ar1_path, reference_beta_curve, reference_deviations,
+                     reference_lag_sums, reference_pooled_autocorr)
 
 
 def affine_line(intercept, slope, lo=-200.0, hi=200.0):
@@ -397,3 +399,32 @@ def test_lag_sums_reject_years_off_the_integer_grid(years):
                  "B": (np.array(years), np.ones(3))}
     with pytest.raises(DataError, match="B: deviation years"):
         lag_sums(component, [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       lengths=st.lists(st.integers(0, 12), min_size=0, max_size=6))
+def test_pooled_curve_calls_equal_per_country_calls(seed, lengths):
+    # curved bases with the tail blend inside the sampled range, so every
+    # branch of the extension is evaluated on the pooled levels
+    rng = np.random.default_rng(seed)
+    knots = np.linspace(-5.0, 5.0, 9)
+
+    def curve():
+        base = SmoothFn(knots=knots, values=rng.normal(size=knots.size))
+        return ExtendedFn.build(base, transition=-1.0, blend_width=3.0)
+
+    ff = replace(affine_field(), speed=curve(),
+                 trajectories=(curve(), curve()))
+    world = {"none": None}
+    for j, n in enumerate(lengths):
+        years = 1950 + np.sort(rng.choice(40, size=n, replace=False))
+        world[f"C{j}"] = make_series(f"C{j}", years,
+                                     rng.uniform(-9.0, 6.0, size=(n, 3)))
+    devs = compute_deviations(ff, world)
+    speed, structural = reference_deviations(ff, world)
+    for got, want in zip((devs.speed, *devs.structural), (speed, *structural)):
+        assert list(got) == list(want)
+        for country, (years, values) in want.items():
+            np.testing.assert_array_equal(got[country][0], years)
+            assert got[country][1].tobytes() == values.tobytes()

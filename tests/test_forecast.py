@@ -1,6 +1,7 @@
 """Engine tests: speed stepping, relaxation, jump-off, the full loop."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from mortflow.convergence import RelaxationRates
-from mortflow.errors import CalibrationMissingError, DataError, \
+from mortflow.errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError
 from mortflow.flowfield import FlowConfig, FlowField
 from mortflow.forecast import (
@@ -21,6 +22,7 @@ from mortflow.forecast import (
     reconstruct_with_jumpoff,
     relax_scores,
     run_forecast,
+    run_forecasts,
     step_speed,
     tier1_state,
     tier2_state,
@@ -33,7 +35,7 @@ from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
 from mortflow.synth import SyntheticSpec, generate
 from mortflow.tucker import TuckerModel
 
-from oracles import reference_forecast
+from oracles import reference_forecast, reference_schedule_csv
 
 
 def affine_line(intercept, slope, lo=-200.0, hi=200.0):
@@ -595,3 +597,77 @@ def test_run_forecast_matches_scalar_oracle(fitted_world, seed, w, alpha_v,
     np.testing.assert_allclose(result.schedules, schedules, rtol=0,
                                atol=1e-12)
     np.testing.assert_allclose(result.e0_avg, e0, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n_states=st.integers(1, 5),
+       ws=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3),
+       alpha_v=st.floats(0.0, 0.999),
+       horizon=st.integers(1, 40))
+def test_batch_engine_equals_single_state_runs(fitted_world, seed, n_states,
+                                               ws, alpha_v, horizon):
+    fitted = fitted_world
+    ff = fitted.flowfield
+    rng = np.random.default_rng(seed)
+    countries = fitted.model.countries
+    shape = (fitted.model.sex_factor.shape[0], len(fitted.model.ages))
+    states = []
+    for i in range(n_states):
+        base = fitted.state(countries[(seed + i) % len(countries)])
+        states.append(CountryState(
+            country=base.country,
+            scores=base.scores + rng.normal(scale=0.5, size=base.scores.size),
+            velocity=rng.normal(scale=0.3),
+            jumpoff=rng.normal(scale=0.2, size=shape),
+            origin_year=base.origin_year + i))
+    # a tier-1 state carries a scalar zero jump-off
+    states.append(tier1_state(ff, np.arange(2000, 2010),
+                              70.0 + 0.2 * np.arange(10)))
+    rates = RelaxationRates(alpha_v=alpha_v,
+                            alpha_s=(0.0, *rng.uniform(0.0, 0.999, 3)))
+    batch = [state for _ in ws for state in states]
+    w = np.repeat(ws, len(states))
+    results = run_forecasts(fitted.model, fitted.pca, ff, batch,
+                            ForecastConfig(rates=rates, horizon=horizon), w=w)
+    assert len(results) == len(batch)
+    for state, w_b, got in zip(batch, w, results):
+        config = ForecastConfig(rates=rates, w=float(w_b), horizon=horizon)
+        alone = run_forecast(fitted.model, fitted.pca, ff, state, config)
+        assert (got.country, got.origin_year) == (state.country,
+                                                  state.origin_year)
+        np.testing.assert_array_equal(got.years, alone.years)
+        np.testing.assert_array_equal(got.scores[:, 0], alone.scores[:, 0])
+        for name in ("scores", "schedules", "e0_by_sex", "e0_avg"):
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(alone, name), rtol=0,
+                                       atol=1e-12)
+        scores, schedules, e0 = reference_forecast(
+            fitted.model, fitted.pca, ff, state, rates, float(w_b), horizon)
+        np.testing.assert_array_equal(got.scores[:, 0], scores[:, 0])
+        np.testing.assert_allclose(got.schedules, schedules, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(got.e0_avg, e0, rtol=0, atol=1e-12)
+
+
+def test_batch_engine_rejects_blend_weights_outside_unit_interval():
+    model, pca, ff = engine_parts()
+    config = ForecastConfig(rates=rates_for(0.9), horizon=3)
+    states = [make_state(), make_state()]
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [0.5, np.nan]):
+        with pytest.raises(ConfigError):
+            run_forecasts(model, pca, ff, states, config, w=bad)
+
+
+@pytest.mark.parametrize("country", ["X", 'Cote d"Ivoire, Rep.',
+                                     "two\nlines", " padded "])
+def test_schedule_csv_bytes_match_a_row_per_cell_writer(fitted_world,
+                                                        tmp_path, country):
+    result = replace(fitted_world.forecast(fitted_world.model.countries[0],
+                                           horizon=7), country=country)
+    # extreme logits: expit underflows to 0.0 and rounds to 1.0
+    result.schedules[0, 0, :2] = (-800.0, 40.0)
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_schedule_csv(result, got)
+    reference_schedule_csv(result, want)
+    assert got.read_bytes() == want.read_bytes()

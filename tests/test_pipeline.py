@@ -6,7 +6,8 @@ import pytest
 from mortflow.errors import RankError
 from mortflow.forecast import tier1_state
 from mortflow.lifetable import e0_by_sex
-from mortflow.pipeline import FitConfig, default_ranks, fit_model
+from mortflow.pca import score_grid
+from mortflow.pipeline import FitConfig, default_ranks, fit_basis, fit_model
 from mortflow.synth import SyntheticSpec, generate
 
 
@@ -142,3 +143,16 @@ def test_pipeline_recovers_shared_relaxation_rate():
     fitted = fit_model(world.tensor, FitConfig(n_components=5))
     for alpha in fitted.rates.alpha_s[1:]:
         assert abs(alpha - 0.8) < 0.02
+
+
+def test_fit_hands_over_the_grid_its_series_read():
+    world = world_6()
+    config = FitConfig(n_components=3)
+    basis = fit_basis(world.tensor, config)
+    grid = score_grid(basis.model, basis.pca)
+    assert basis.grid.tobytes() == grid.tobytes()
+    for series in basis.series.values():
+        c = basis.model.countries.index(series.country)
+        t = np.searchsorted(basis.model.years, series.years)
+        assert series.scores.tobytes() == grid[c, t].tobytes()
+    assert fit_model(world.tensor, config)._grid.tobytes() == grid.tobytes()
