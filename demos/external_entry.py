@@ -9,9 +9,8 @@ and keeps whatever the basis cannot express as a jump-off correction
 """
 
 import numpy as np
-from scipy.special import expit
 
-from mortflow import (FitConfig, SyntheticSpec, fit_model, generate,
+from mortflow import (FitConfig, SyntheticSpec, expit, fit_model, generate,
                       life_table_e0, run_forecast, tier1_state, tier2_state)
 from mortflow.forecast import ForecastConfig
 

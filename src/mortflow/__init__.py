@@ -30,7 +30,8 @@ from .forecast import (CountryState, ForecastConfig, ForecastResult,
                        country_state, run_forecast, run_forecasts,
                        tier1_state, tier2_state,
                        write_schedule_csv, write_summary_csv)
-from .lifetable import e0_by_sex, life_table_e0, survivorship
+from .lifetable import (e0_by_sex, expit, life_table_e0, logit,
+                        survivorship)
 from .pca import CorePCA, fit_core_pca, inverse, jumpoff_residual, scores
 from .pipeline import (PRODUCTION_RANKS, BasisFit, FitConfig, FittedModel,
                        default_ranks, fit_basis, fit_dynamics, fit_model)
@@ -56,10 +57,10 @@ __all__ = [
     "calibrate_pi", "candidate_origins", "compute_deviations", "country_state",
     "default_ranks", "derivative_correlations", "drop_country", "e0_by_sex",
     "effective_core", "entry_state", "era_lowess", "era_weights",
-    "estimate_rates", "fit_basis", "fit_core_pca", "fit_dynamics",
+    "estimate_rates", "expit", "fit_basis", "fit_core_pca", "fit_dynamics",
     "fit_flowfield", "fit_model", "full_reconstruction", "generate",
     "grid_search", "hosvd", "inverse", "jumpoff_residual", "life_table_e0",
-    "load_model", "lowess", "metric_report", "model_from_dict",
+    "load_model", "logit", "lowess", "metric_report", "model_from_dict",
     "model_to_dict", "pooled_autocorr", "project_schedule",
     "read_records_csv", "reconstruct_schedule", "run_forecast",
     "run_forecasts", "run_inclusive_cv", "run_loco_cv", "save_model", "scores",

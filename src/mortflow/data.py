@@ -16,7 +16,6 @@ from itertools import islice
 from typing import Optional
 
 import numpy as np
-from scipy.special import logit
 
 from .errors import (
     CsvFormatError,
@@ -25,6 +24,7 @@ from .errors import (
     MissingDataError,
     ShapeMismatchError,
 )
+from .lifetable import logit
 
 SEXES = ("f", "m")
 

@@ -13,12 +13,10 @@ import csv
 import json
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 
 import numpy as np
-from scipy.special import expit
 
 from .data import drop_country
 from .errors import CVConfigError, DataError, InsufficientDataError
@@ -29,7 +27,7 @@ from .forecast import (
     run_forecasts,
     tier2_state,
 )
-from .lifetable import e0_by_sex, observed_e0, survivorship
+from .lifetable import e0_by_sex, expit, observed_e0, survivorship
 from .pca import scores as core_scores
 from .pipeline import (FitConfig, fit_basis, fit_model, fit_path_dynamics,
                        fit_speed_dynamics)
@@ -273,6 +271,8 @@ def run_loco_cv(tensor, config=None, on_fit=None):
         jobs = 1
     observed = observed_e0(tensor.values, tensor.mask)
     if jobs > 1:
+        # deferred: only a parallel run pays for the import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_country_records, repeat(tensor),
                                    tensor.countries, repeat(config),

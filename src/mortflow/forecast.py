@@ -14,11 +14,10 @@ import io
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError, ShapeMismatchError
-from .lifetable import e0_by_sex
+from .lifetable import e0_by_sex, expit
 from .pca import inverse, jumpoff_residual, score_grid, scores as core_scores
 from .smoothing import SmoothFn
 from .tucker import project_schedule, reconstruct_schedule
@@ -257,9 +256,10 @@ def country_state(model, pca, mask, country, origin_year=None, grid=None):
 
     Scores come from the fitted grid at the last observed year at or
     before the origin; the jump-off residual is the part of the full
-    factorization the retained components leave behind there.  Needs only
-    the fitted model, the component basis, and the observation mask, so a
-    saved model can rebuild the state without the training data.
+    factorization that those scores, the point the forecast starts from,
+    leave behind there.  Needs only the fitted model, the component
+    basis, and the observation mask, so a saved model can rebuild the
+    state without the training data.
     ``grid`` is ``score_grid(model, pca)`` if the caller holds it;
     otherwise it is built here.
     """
@@ -281,7 +281,7 @@ def country_state(model, pca, mask, country, origin_year=None, grid=None):
     velocity = _trailing_velocity(years[observed].astype(float),
                                   grid[c, observed, 0])
     return CountryState(country=country, scores=s, velocity=velocity,
-                        jumpoff=jumpoff_residual(model, pca, c, t),
+                        jumpoff=jumpoff_residual(model, pca, c, t, s),
                         origin_year=int(years[t]))
 
 

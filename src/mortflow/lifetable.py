@@ -6,9 +6,29 @@ the year of age (average 0.3 years lived); all later deaths at midyear.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Overflow of exp(-x) is silent and gives 0.0, so -inf maps to 0.0,
+    inf to 1.0 and nan to nan.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+
+
+def logit(p):
+    """Log-odds log(p / (1 - p)), elementwise; the inverse of expit.
+
+    The edges are silent: logit(0) = -inf, logit(1) = inf, and values
+    outside [0, 1] or nan give nan.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(p / (1.0 - p))
 
 
 def survivorship(qx):

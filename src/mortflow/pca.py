@@ -89,13 +89,16 @@ def score_grid(model, pca):
     return scores(pca, effective_core_grid(model))
 
 
-def jumpoff_residual(model, pca, c, t):
+def jumpoff_residual(model, pca, c, t, s=None):
     """Schedule-space gap between the full model and its N-score shadow.
 
     This is what the forecast adds back at the jump-off and fades out over
-    the first horizons.
+    the first horizons.  ``s`` is the cell's scores as the forecast starts
+    from them (a score-grid row); by default the cell's core is scored.
     """
     g = effective_core(model, c, t)
+    if s is None:
+        s = scores(pca, g)
     full = reconstruct_schedule(model, g)
-    approx = reconstruct_schedule(model, inverse(pca, scores(pca, g)))
+    approx = reconstruct_schedule(model, inverse(pca, s))
     return full - approx

@@ -19,10 +19,10 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .data import SEXES, MortalityTensor, RawSeries
 from .errors import ConfigError
+from .lifetable import expit
 
 DEFAULT_CKS = (0.35, -0.2, 0.12, -0.06)
 

@@ -97,7 +97,10 @@ def hosvd(tensor, ranks):
         u[:, flip] *= -1.0
         factors.append(u)
     s, a, c, t = factors
-    core = np.einsum("sact,si,aj,ck,tl->ijkl", values, s, a, c, t, optimize=True)
+    # C order, as load_model gives it: the contractions over the core round
+    # by its layout, so a fitted and a loaded model agree bit for bit
+    core = np.ascontiguousarray(
+        np.einsum("sact,si,aj,ck,tl->ijkl", values, s, a, c, t, optimize=True))
     return TuckerModel(sex_factor=s, age_factor=a, country_factor=c,
                        year_factor=t, core=core, countries=tensor.countries,
                        years=np.asarray(tensor.years).copy(),
@@ -106,8 +109,7 @@ def hosvd(tensor, ranks):
 
 def effective_core(model, c, t):
     """Core collapsed with country row c and year row t: an (r1, r2) matrix."""
-    return np.einsum("ijkl,k,l->ij", model.core,
-                     model.country_factor[c], model.year_factor[t])
+    return (model.core @ model.year_factor[t]) @ model.country_factor[c]
 
 
 def effective_core_grid(model):

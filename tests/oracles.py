@@ -8,7 +8,6 @@ import csv
 import math
 
 import numpy as np
-from scipy.special import expit
 
 
 def simulate_cohort_e0(qx, n_paths, seed):
@@ -222,6 +221,9 @@ def reference_forecast(model, pca, ff, state, rates, w, horizon,
 
 def reference_schedule_csv(result, path):
     """The per-age export written one csv.writer row per cell."""
+    # the oracle pins the CSV layout, not the transform: it shares expit
+    from mortflow.lifetable import expit
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["country", "horizon", "year", "sex", "age",
@@ -261,10 +263,10 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
     logit_qx), in the order the loop fills it, and raises the same
     errors, with the same messages, as the loop did.
     """
-    from scipy.special import logit
-
     from mortflow.errors import (DataError, DegenerateExposureError,
                                  MissingDataError)
+    # the oracle pins pooling order, not the transform: it shares logit
+    from mortflow.lifetable import logit
 
     sexes = ("f", "m")
     rows = list(rows)

@@ -6,8 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
 
+from mortflow import expit
 from mortflow.convergence import RelaxationRates
 from mortflow.errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError
