@@ -314,7 +314,8 @@ def _inclusive_records(tensor, config, grid_w, grid_tau):
         base_config = config.fit_config(origin_year)
         basis = fit_basis(tensor, base_config, clip_ranks=True)
         states = [country_state(basis.model, basis.pca, basis.mask,
-                                tensor.countries[c], grid=basis.grid)
+                                tensor.countries[c], grid=basis.grid,
+                                cores=basis.cores)
                   for c, _ in entries]
         ws = np.repeat(np.asarray(grid_w, dtype=float), len(states))
         paths, alpha_s = fit_path_dynamics(basis, base_config)

@@ -5,8 +5,9 @@ time.  Over its whole path at once, the structural scores relax toward
 their trajectories, the sex-by-age logit schedules are rebuilt with a
 decaying jump-off correction, and life expectancy is read off them.
 The engine runs a batch of states side by side; a single forecast is
-the batch of one.  Everything is a pure function of the fitted objects:
-no randomness, no mutation, so reruns are bit-identical.
+the batch of one, whose level steps in Python floats.  Everything is a
+pure function of the fitted objects: no randomness, no mutation, so
+reruns are bit-identical.
 """
 
 import csv
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError, ShapeMismatchError
 from .lifetable import e0_by_sex, expit
-from .pca import inverse, jumpoff_residual, score_grid, scores as core_scores
+from .pca import core_score_grids, inverse, jumpoff_residual, \
+    scores as core_scores
 from .smoothing import SmoothFn
 from .tucker import project_schedule, reconstruct_schedule
 
@@ -124,10 +126,7 @@ class _StateBatch:
 
     ``scores`` (B, 1, N) and ``jumpoff`` (B, 1, S, A) carry a unit
     horizon axis, so the helpers written for one state broadcast them
-    against (B, H, ...) paths unchanged.  ``velocity`` is (B,), and a
-    scalar for a batch of one: the level recursion is the serial part of
-    the engine, and numpy's scalar arithmetic costs a fraction of its
-    arithmetic on one-element arrays.
+    against (B, H, ...) paths unchanged.  ``velocity`` is (B,).
     """
 
     scores: np.ndarray
@@ -146,6 +145,22 @@ def step_speed(ff, state, w, alpha_v, h, s1_prev):
     blend = (1.0 - w) * alpha_v ** h
     v = (1.0 - blend) * ff.speed(s1_prev) + blend * state.velocity
     return v, s1_prev + v
+
+
+def _level_path(speed, state, w, alpha_v, horizon):
+    """The level scores of ``step_speed`` for one state, in Python floats.
+
+    The same operations in the same order, with the speed curve read by
+    its scalar ``at``, so the path is the batch recursion's bit for bit
+    without numpy's cost per call on single values.
+    """
+    level, velocity = float(state.scores[0]), state.velocity
+    path = []
+    for h in range(1, horizon + 1):
+        blend = (1.0 - w) * alpha_v ** h
+        level += (1.0 - blend) * speed.at(level) + blend * velocity
+        path.append(level)
+    return path
 
 
 def relax_scores(ff, state, rates, h, s1_h):
@@ -190,7 +205,8 @@ def run_forecasts(model, pca, ff, states, config, w=None):
     ``w`` holds one blend weight per state; it defaults to config.w for
     all of them.  The states share the flow field, the rates and the
     horizon, and run side by side: the level scores step as one (B,)
-    array, and the structural scores, schedules and life expectancy are
+    array (a single state steps in Python floats, to the same bits), and
+    the structural scores, schedules and life expectancy are
     array functions of their paths.  Every state's forecast equals the
     one it gets alone, bit for bit.  Life expectancy never feeds back
     into the navigation.  Returns one ForecastResult per state.
@@ -210,16 +226,19 @@ def run_forecasts(model, pca, ff, states, config, w=None):
     shape = (model.sex_factor.shape[0], model.age_factor.shape[0])
     batch = _StateBatch(
         scores=np.stack([state.scores[:n] for state in states])[:, None],
-        velocity=np.squeeze([state.velocity for state in states])[()],
+        velocity=np.array([state.velocity for state in states]),
         jumpoff=np.stack([np.broadcast_to(state.jumpoff, shape)
                           for state in states])[:, None])
     horizons = np.arange(1, config.horizon + 1)
-    s1 = np.empty((len(states), config.horizon))
-    # squeezed like the velocities, for the same reason
-    level, w = np.squeeze(batch.scores[:, 0, 0])[()], np.squeeze(w)[()]
-    for h in range(1, config.horizon + 1):
-        _, level = step_speed(ff, batch, w, rates.alpha_v, h, level)
-        s1[:, h - 1] = level
+    if len(states) == 1:
+        s1 = np.array([_level_path(ff.speed, states[0], float(w[0]),
+                                   rates.alpha_v, config.horizon)])
+    else:
+        s1 = np.empty((len(states), config.horizon))
+        level = batch.scores[:, 0, 0]
+        for h in range(1, config.horizon + 1):
+            _, level = step_speed(ff, batch, w, rates.alpha_v, h, level)
+            s1[:, h - 1] = level
     sk = relax_scores(ff, batch, rates, horizons, s1)
     scores = np.concatenate((s1[..., None], sk), axis=-1)
     schedules = reconstruct_with_jumpoff(model, pca, batch, scores, horizons)
@@ -251,17 +270,18 @@ def _trailing_velocity(years, s1_values):
     return float(diffs[-min(TRAILING_WINDOW, diffs.size):].mean())
 
 
-def country_state(model, pca, mask, country, origin_year=None, grid=None):
+def country_state(model, pca, mask, country, origin_year=None, grid=None,
+                  cores=None):
     """State for a country inside the fitted score grid.
 
     Scores come from the fitted grid at the last observed year at or
-    before the origin; the jump-off residual is the part of the full
-    factorization that those scores, the point the forecast starts from,
-    leave behind there.  Needs only the fitted model, the component
+    before the origin; the jump-off residual is the part of the cell's
+    effective core that those scores, the point the forecast starts
+    from, leave behind.  Needs only the fitted model, the component
     basis, and the observation mask, so a saved model can rebuild the
     state without the training data.
-    ``grid`` is ``score_grid(model, pca)`` if the caller holds it;
-    otherwise it is built here.
+    ``cores`` and ``grid`` are ``core_score_grids(model, pca)`` if the
+    caller holds both; otherwise both are built here.
     """
     try:
         c = model.countries.index(country)
@@ -274,14 +294,15 @@ def country_state(model, pca, mask, country, origin_year=None, grid=None):
     if observed.size < 2:
         raise InsufficientDataError(
             f"{country}: need at least 2 observed years at the origin")
-    if grid is None:
-        grid = score_grid(model, pca)
+    if grid is None or cores is None:
+        cores, grid = core_score_grids(model, pca)
     t = int(observed[-1])
     s = grid[c, t]
     velocity = _trailing_velocity(years[observed].astype(float),
                                   grid[c, observed, 0])
     return CountryState(country=country, scores=s, velocity=velocity,
-                        jumpoff=jumpoff_residual(model, pca, c, t, s),
+                        jumpoff=jumpoff_residual(model, pca, c, t, s,
+                                                 g=cores[c, t]),
                         origin_year=int(years[t]))
 
 
@@ -294,6 +315,10 @@ def tier1_state(ff, years, e0_values, country="tier1"):
     """
     years = np.asarray(years, dtype=float)
     e0_values = np.asarray(e0_values, dtype=float)
+    if not (np.isfinite(years).all() and np.isfinite(e0_values).all()):
+        raise DataError("tier-1 years and e0 must be finite")
+    if np.unique(years).size != years.size:
+        raise DataError("tier-1 entry repeats a year")
     if years.size < 2:
         raise InsufficientDataError("tier-1 entry needs at least 2 e0 points")
     order = np.argsort(years)

@@ -89,14 +89,29 @@ def score_grid(model, pca):
     return scores(pca, effective_core_grid(model))
 
 
-def jumpoff_residual(model, pca, c, t, s=None):
+def core_score_grids(model, pca):
+    """Effective cores (C, T, r1, r2) and their scores (C, T, N).
+
+    The scores are ``score_grid``'s, bit for bit: they are taken from
+    einsum's own layout, which sets how they round.  The cores are held
+    C-ordered, so that a cell's core is one block and the products that
+    read it round alike in fitted and loaded models.
+    """
+    cores = effective_core_grid(model)
+    return np.ascontiguousarray(cores), scores(pca, cores)
+
+
+def jumpoff_residual(model, pca, c, t, s=None, g=None):
     """Schedule-space gap between the full model and its N-score shadow.
 
     This is what the forecast adds back at the jump-off and fades out over
-    the first horizons.  ``s`` is the cell's scores as the forecast starts
-    from them (a score-grid row); by default the cell's core is scored.
+    the first horizons.  ``g`` is the cell's effective core if the caller
+    holds it (a core-grid row); by default it is contracted here.  ``s``
+    is the cell's scores as the forecast starts from them (a score-grid
+    row); by default ``g`` is scored.
     """
-    g = effective_core(model, c, t)
+    if g is None:
+        g = effective_core(model, c, t)
     if s is None:
         s = scores(pca, g)
     full = reconstruct_schedule(model, g)

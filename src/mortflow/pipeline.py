@@ -31,7 +31,7 @@ from .forecast import (
     country_state,
     run_forecast,
 )
-from .pca import CorePCA, fit_core_pca, score_grid
+from .pca import CorePCA, core_score_grids, fit_core_pca
 from .tucker import TuckerModel, hosvd
 
 # factor ranks used on the full production corpus: both sexes, single
@@ -108,9 +108,10 @@ class FitConfig:
 class FittedModel:
     """A complete fit: basis, component space, dynamics, bookkeeping.
 
-    ``grid`` is derived from the model and the component space and never
-    saved: a fit hands over the one it built, a loaded model builds it on
-    first use, and ``dataclasses.replace`` starts it afresh.
+    ``grid`` and the effective cores it scores are derived from the
+    model and the component space and never saved: a fit hands over the
+    ones it built, a loaded model builds them on first use, and
+    ``dataclasses.replace`` starts them afresh.
     """
 
     model: TuckerModel
@@ -123,17 +124,21 @@ class FittedModel:
     calibration: PICalibration | None = None
     _grid: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
+    _cores: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def grid(self):
         """Scores at every (country, year) cell, shape (C, T, N)."""
         if self._grid is None:
-            self._grid = score_grid(self.model, self.pca)
+            self._cores, self._grid = core_score_grids(self.model, self.pca)
         return self._grid
 
     def state(self, country, origin_year=None):
+        grid = self.grid  # builds the cores with it
         return country_state(self.model, self.pca, self.mask, country,
-                             origin_year=origin_year, grid=self.grid)
+                             origin_year=origin_year, grid=grid,
+                             cores=self._cores)
 
     def forecast(self, country, horizon=50, w=1.0, origin_year=None,
                  intervals=False):
@@ -157,7 +162,8 @@ class BasisFit:
 
     The series depend only on the basis and the origin, so one BasisFit
     can back several flow-field fits with different era settings.
-    ``grid`` is ``score_grid(model, pca)``, the (C, T, N) scores that the
+    ``cores`` and ``grid`` are ``core_score_grids(model, pca)``: the
+    (C, T, r1, r2) effective cores and their (C, T, N) scores, which the
     series and every in-panel state read.
     """
 
@@ -167,6 +173,7 @@ class BasisFit:
     mask: np.ndarray
     origin: int
     grid: np.ndarray
+    cores: np.ndarray
 
 
 def fit_basis(tensor, config=None, clip_ranks=False):
@@ -191,10 +198,11 @@ def fit_basis(tensor, config=None, clip_ranks=False):
         ranks = tuple(min(r, c) for r, c in zip(ranks, _mode_caps(work.shape)))
     model = hosvd(work, ranks)
     pca = fit_core_pca(model, work.mask, n_components=config.n_components)
-    grid = score_grid(model, pca)
+    cores, grid = core_score_grids(model, pca)
     series = series_from_fit(model, pca, work, grid=grid)
     return BasisFit(model=model, pca=pca, series=series,
-                    mask=work.mask.copy(), origin=origin, grid=grid)
+                    mask=work.mask.copy(), origin=origin, grid=grid,
+                    cores=cores)
 
 
 def fit_path_dynamics(basis, config=None):
@@ -237,5 +245,5 @@ def fit_model(tensor, config=None, clip_ranks=False):
     fitted = FittedModel(model=basis.model, pca=basis.pca, flowfield=ff,
                          rates=rates, mask=basis.mask, origin=basis.origin,
                          config=config)
-    fitted._grid = basis.grid
+    fitted._cores, fitted._grid = basis.cores, basis.grid
     return fitted

@@ -7,6 +7,7 @@ frontier are wrapped in an ``ExtendedFn`` which blends into a tangent
 line measured just inside the frontier.
 """
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,29 +26,65 @@ MAX_RESAMPLE = 20000
 WINDOW_CELLS = 500_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothFn:
     """Piecewise-linear curve: fitted values on a sorted knot grid.
 
     Evaluation interpolates linearly between knots and holds the boundary
-    value flat outside the knot range.
+    value flat outside the knot range.  ``at`` evaluates one point in
+    Python floats, bit for bit as ``__call__`` does.
     """
 
     knots: np.ndarray
     values: np.ndarray
+    _xs: list = field(init=False, repr=False, compare=False)
+    _ys: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.knots = np.asarray(self.knots, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.knots.ndim != 1 or self.knots.shape != self.values.shape:
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if knots.ndim != 1 or knots.shape != values.shape:
             raise DataError("knots and values must be 1-d arrays of equal length")
-        if self.knots.size == 0:
+        if knots.size == 0:
             raise DataError("empty knot grid")
-        if np.any(np.diff(self.knots) <= 0):
+        if np.any(np.diff(knots) <= 0):
             raise DataError("knots must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_xs", knots.tolist())
+        object.__setattr__(self, "_ys", values.tolist())
 
     def __call__(self, x):
         return np.interp(x, self.knots, self.values)
+
+    def at(self, x):
+        """The curve at one float x, as a float.
+
+        numpy's interp, step for step: one knot gives its value for any
+        x, NaN included; otherwise NaN passes through, x beyond either
+        end takes the end value, x on a knot takes that knot's value, and
+        between knots the line through the left knot is tried first and,
+        if it gives NaN, the one through the right.
+        """
+        xs, ys = self._xs, self._ys
+        if len(xs) == 1:
+            return ys[0]
+        if x != x:
+            return x
+        if x < xs[0]:
+            return ys[0]
+        if x > xs[-1]:
+            return ys[-1]
+        j = bisect.bisect_right(xs, x) - 1
+        if xs[j] == x:
+            return ys[j]
+        slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+        y = slope * (x - xs[j]) + ys[j]
+        if y != y:
+            y = slope * (x - xs[j + 1]) + ys[j + 1]
+            if y != y and ys[j] == ys[j + 1]:
+                y = ys[j]
+        return y
 
     def to_dict(self):
         return {"knots": self.knots.tolist(), "values": self.values.tolist()}
@@ -247,14 +284,15 @@ def era_lowess(x, y, years, kernel, bandwidth=0.20, seed=0,
 # Tangent tail extension
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExtendedFn:
     """SmoothFn continued past a frontier by its interior tangent.
 
     At or above the transition the base curve applies unchanged.  Over
     ``blend_width`` below it the curve eases into the tangent line via
     smoothstep, and further below it is exactly that line, so far
-    extrapolations stay affine instead of saturating flat.
+    extrapolations stay affine instead of saturating flat.  ``at``
+    evaluates one point in Python floats, bit for bit as ``__call__``.
     """
 
     base: SmoothFn
@@ -263,6 +301,11 @@ class ExtendedFn:
     blend_width: float
     anchor: float = field(default=0.0)
     slope: float = field(default=0.0)
+
+    def __post_init__(self):
+        if not self.blend_width > 0:
+            raise TailConfigError(
+                f"blend width {self.blend_width} must be positive")
 
     @classmethod
     def build(cls, base, transition, delta=2.0, blend_width=3.0):
@@ -278,18 +321,22 @@ class ExtendedFn:
                    blend_width=float(blend_width), anchor=anchor, slope=slope)
 
     def __call__(self, s):
-        # [()] turns a 0-d input into a numpy scalar, whose arithmetic
-        # is several times cheaper; the engine steps one state as one
-        s = np.asarray(s, dtype=float)[()]
+        s = np.asarray(s, dtype=float)
         line = self.anchor + self.slope * (s - self.transition)
-        # maximum/minimum rather than np.clip: a fraction of the cost on
-        # scalars and small arrays, and t * t erases the one place they
-        # differ, the sign of a zero
+        # maximum/minimum rather than np.clip: cheaper on small arrays,
+        # and t * t erases the one place they differ, the sign of a zero
         t = np.minimum(np.maximum((self.transition - s) / self.blend_width,
                                   0.0), 1.0)
         w = smoothstep(t)
         out = (1.0 - w) * self.base(s) + w * line
         return out if out.ndim else float(out)
+
+    def at(self, s):
+        """The curve at one float s, as a float."""
+        line = self.anchor + self.slope * (s - self.transition)
+        t = min(max((self.transition - s) / self.blend_width, 0.0), 1.0)
+        w = t * t * (3.0 - 2.0 * t)
+        return (1.0 - w) * self.base.at(s) + w * line
 
     def to_dict(self):
         return {"base": self.base.to_dict(), "transition": self.transition,

@@ -1,6 +1,7 @@
 """Engine tests: speed stepping, relaxation, jump-off, the full loop."""
 
 import csv
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -317,6 +318,22 @@ def test_tier1_state_needs_two_points():
         tier1_state(ff, np.array([2000]), np.array([80.0]))
 
 
+@pytest.mark.parametrize("years, e0, message", [
+    ([2000, 2000, 2001], [80.0, 80.2, 80.4], "repeats a year"),
+    ([2000, 2001, 2002], [80.0, 80.2, np.inf], "must be finite"),
+    ([2000, 2001, 2002], [80.0, np.nan, 80.4], "must be finite"),
+    ([2000, np.inf, 2002], [80.0, 80.2, 80.4], "must be finite"),
+    ([np.nan, 2001, 2002], [80.0, 80.2, 80.4], "must be finite"),
+])
+def test_tier1_state_rejects_repeated_or_non_finite_points(years, e0,
+                                                           message):
+    ff = affine_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before any arithmetic
+        with pytest.raises(DataError, match=message):
+            tier1_state(ff, years, e0)
+
+
 def test_tier1_velocity_respects_year_gaps():
     ff = affine_field()
     years = np.array([2000, 2002, 2003])
@@ -624,13 +641,28 @@ def test_batch_engine_equals_single_state_runs(fitted_world, seed, n_states,
     # a tier-1 state carries a scalar zero jump-off
     states.append(tier1_state(ff, np.arange(2000, 2010),
                               70.0 + 0.2 * np.arange(10)))
+    # levels just above the speed curve's tail transition, inside its
+    # blend and just above the tangent line, at w = 0, 0.5 and 1: the
+    # one-state and batch recursions meet the curve where it changes shape
+    tr, width = ff.speed.transition, ff.speed.blend_width
+    crossing = [replace(states[0], velocity=-0.3, scores=np.concatenate(
+        ([tr + offset], states[0].scores[1:])))
+        for offset in (0.1, -0.5 * width, 0.1 - width)]
     rates = RelaxationRates(alpha_v=alpha_v,
                             alpha_s=(0.0, *rng.uniform(0.0, 0.999, 3)))
-    batch = [state for _ in ws for state in states]
-    w = np.repeat(ws, len(states))
+    batch = ([state for _ in ws for state in states]
+             + [state for _ in range(3) for state in crossing])
+    w = np.concatenate((np.repeat(ws, len(states)),
+                        np.repeat([0.0, 0.5, 1.0], len(crossing))))
     results = run_forecasts(fitted.model, fitted.pca, ff, batch,
                             ForecastConfig(rates=rates, horizon=horizon), w=w)
     assert len(results) == len(batch)
+    # the speed is negative just above the transition, so the first
+    # crossing state passes below it in its first step at every w
+    assert float(ff.speed(tr + 0.1)) < -0.1
+    first = len(batch) - 3 * len(crossing)
+    assert all(results[i].scores[0, 0] < tr
+               for i in range(first, len(batch), len(crossing)))
     for state, w_b, got in zip(batch, w, results):
         config = ForecastConfig(rates=rates, w=float(w_b), horizon=horizon)
         alone = run_forecast(fitted.model, fitted.pca, ff, state, config)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,6 +43,67 @@ def test_smoothfn_roundtrip_dict():
     fn2 = SmoothFn.from_dict(fn.to_dict())
     np.testing.assert_array_equal(fn.knots, fn2.knots)
     np.testing.assert_array_equal(fn.values, fn2.values)
+
+
+def test_smoothfn_fields_cannot_be_reassigned():
+    fn = SmoothFn(knots=np.array([0.0, 2.0]), values=np.array([3.0, 5.0]))
+    with pytest.raises(FrozenInstanceError):
+        fn.values = np.array([0.0, 0.0])
+    assert fn.at(1.0) == 4.0
+
+
+def assert_same_float(got, want):
+    """``got`` is a Python float with the bits of ``want``; NaN is NaN."""
+    assert type(got) is float
+    want = float(want)
+    if want != want:
+        assert got != got
+    else:
+        assert got.hex() == want.hex()  # hex tells -0.0 from 0.0
+
+
+@st.composite
+def knot_curves(draw, values=st.floats(allow_nan=False)):
+    """SmoothFn of 1 to 8 knots; values may be huge or infinite."""
+    knots = sorted(set(draw(st.lists(st.floats(-1e3, 1e3), min_size=1,
+                                     max_size=8))))
+    ys = draw(st.lists(values, min_size=len(knots), max_size=len(knots)))
+    return SmoothFn(knots=np.array(knots), values=np.array(ys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=knot_curves(), data=st.data())
+def test_smoothfn_at_is_np_interp_bit_for_bit(fn, data):
+    knots = fn.knots.tolist()
+    lo, hi = knots[0], knots[-1]
+    # every knot (the last one included), both sides of the range, NaN,
+    # the infinities, and points drawn between and beyond the knots
+    points = [*knots, lo - 1.0, hi + 1.0, float("nan"), float("inf"),
+              float("-inf"),
+              *data.draw(st.lists(st.floats(lo, hi), max_size=10)),
+              *data.draw(st.lists(st.floats(allow_nan=False), max_size=4))]
+    for x in points:
+        assert_same_float(fn.at(x), np.interp(x, fn.knots, fn.values))
+
+
+@pytest.mark.parametrize("values, x, want", [
+    # infinite slope: the line from the left knot is inf - inf, NaN, so
+    # numpy takes the line from the right knot
+    ((-np.inf, 1.0), 0.5, -np.inf),
+    # NaN slope both ways between equal values: numpy returns the value
+    ((np.inf, np.inf), 0.5, np.inf),
+    # opposite infinities stay NaN
+    ((np.inf, -np.inf), 0.25, np.nan),
+    # one knot: its value everywhere, even at NaN, which numpy's
+    # one-knot branch never tests
+    ((2.5,), -3.0, 2.5),
+    ((2.5,), np.nan, 2.5),
+])
+def test_smoothfn_at_follows_interp_nan_slope_fallback(values, x, want):
+    fn = SmoothFn(knots=np.arange(float(len(values))),
+                  values=np.array(values))
+    assert_same_float(fn.at(x), want)
+    assert_same_float(fn.at(x), np.interp(x, fn.knots, fn.values))
 
 
 # ----------------------------------------------------------------------
@@ -331,3 +394,46 @@ def test_extended_fn_roundtrip_dict():
     ext2 = ExtendedFn.from_dict(ext.to_dict())
     grid = np.linspace(-5.0, 12.0, 60)
     np.testing.assert_array_equal(ext(grid), ext2(grid))
+
+
+def test_extended_fn_rejects_a_non_positive_blend_width():
+    base = SmoothFn(knots=np.linspace(0.0, 10.0, 11), values=np.zeros(11))
+    for width in (0.0, -1.0, float("nan")):
+        with pytest.raises(TailConfigError, match="blend width"):
+            ExtendedFn.build(base, transition=3.0, blend_width=width)
+
+
+@st.composite
+def extended_curves(draw):
+    """ExtendedFn on 2 to 12 finite knots, transition anywhere legal."""
+    knots = sorted(k / 8.0 for k in draw(st.lists(
+        st.integers(-800, 800), min_size=2, max_size=12, unique=True)))
+    values = draw(st.lists(st.floats(-100.0, 100.0), min_size=len(knots),
+                           max_size=len(knots)))
+    base = SmoothFn(knots=np.array(knots), values=np.array(values))
+    lo, hi = knots[0], knots[-1]
+    delta = draw(st.floats(1e-3, hi - lo))
+    transition = draw(st.floats(lo, hi - delta))
+    assume(lo <= transition and transition + delta <= hi)
+    width = draw(st.floats(1e-3, 20.0))
+    return ExtendedFn.build(base, transition, delta=delta, blend_width=width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fn=extended_curves(), data=st.data())
+def test_extended_fn_at_is_call_bit_for_bit(fn, data):
+    tr, width = fn.transition, fn.blend_width
+    knots = fn.base.knots.tolist()
+    # the seams, the knots, the tangent line far below, NaN, and points
+    # drawn across the blend and everywhere else
+    points = [tr, tr - width, tr - 0.5 * width, *knots, knots[0] - 50.0,
+              knots[-1] + 50.0, float("nan"),
+              *data.draw(st.lists(st.floats(tr - 2.0 * width, tr + 1.0),
+                                  max_size=10)),
+              *data.draw(st.lists(st.floats(-1e6, 1e6), max_size=4))]
+    for x in points:
+        want = fn(x)
+        assert type(want) is float  # a scalar input gives a Python float
+        assert_same_float(fn.at(x), want)
+    np.testing.assert_array_equal(np.array([fn.at(x) for x in points]),
+                                  fn(np.array(points)))
