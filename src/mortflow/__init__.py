@@ -23,8 +23,8 @@ from .evaluation import (CVConfig, CVRecord, GridResult, MetricReport,
                          grid_search, metric_report, read_records_csv,
                          run_inclusive_cv, run_loco_cv, write_grid_csv,
                          write_metrics_json, write_records_csv)
-from .flowfield import (FlowConfig, FlowField, derivative_correlations,
-                        fit_flowfield, series_from_fit)
+from .flowfield import (FlowField, derivative_correlations, fit_flowfield,
+                        series_from_fit)
 from .forecast import (CountryState, ForecastConfig, ForecastResult,
                        IntervalBands, PICalibration, apply_intervals,
                        country_state, run_forecast, run_forecasts,
@@ -48,7 +48,7 @@ __all__ = [
     "CalibrationMissingError", "ConfigError", "CorePCA", "CountryState",
     "CsvFormatError",
     "DataError", "DomainError", "EraKernel", "ExtendedFn", "FitConfig",
-    "FittedModel", "FlowConfig", "FlowField", "ForecastConfig",
+    "FittedModel", "FlowField", "ForecastConfig",
     "ForecastResult", "GridResult", "InsufficientDataError", "IntervalBands",
     "MetricReport", "MissingDataError", "MortalityTensor", "MortflowError",
     "PICalibration", "PRODUCTION_RANKS", "RankError", "RelaxationRates",

@@ -11,18 +11,17 @@ one that was saved.
 import base64
 import hashlib
 import json
-from dataclasses import asdict
 
 import numpy as np
 
 from .convergence import RelaxationRates
 from .data import SEXES
 from .errors import ArtifactError
-from .flowfield import FlowConfig, FlowField
+from .flowfield import FlowField
 from .forecast import PICalibration
 from .pca import CorePCA
 from .pipeline import FitConfig, FittedModel
-from .smoothing import EraKernel, ExtendedFn, SmoothFn
+from .smoothing import ExtendedFn, SmoothFn
 from .tucker import TuckerModel
 
 FORMAT_VERSION = "mortflow-model-v1"
@@ -39,6 +38,10 @@ LAYOUT_NOTE = ("arrays: row-major base64 blocks, dtype as tagged, floats "
 ORTHONORMAL_TOL = 1e-10
 
 _DTYPES = {"<f8": "<f8", "|u1": "|u1", "<i8": "<i8"}
+
+# the fit settings that the flowfield block repeats from meta.config
+_FLOW_SETTINGS = ("tau", "window", "bandwidth", "transition_e0", "tail_delta",
+                  "tail_blend", "seed")
 
 
 def encode_array(arr):
@@ -69,6 +72,14 @@ def decode_array(block):
 def config_hash(config):
     blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _flow_copies(config, origin):
+    """The flowfield block's copies of meta.origin and meta.config."""
+    return {"origin": int(origin),
+            "kernel": {"origin": float(origin), "tau": config.tau,
+                       "window": config.window},
+            "config": {k: getattr(config, k) for k in _FLOW_SETTINGS}}
 
 
 def model_to_dict(fitted):
@@ -102,11 +113,7 @@ def model_to_dict(fitted):
             "s1_of_e0": ff.s1_of_e0.to_dict(),
             "e0_of_s1": ff.e0_of_s1.to_dict(),
             "transition": float(ff.transition),
-            "origin": int(ff.origin),
-            "kernel": {"origin": float(ff.kernel.origin),
-                       "tau": float(ff.kernel.tau),
-                       "window": float(ff.kernel.window)},
-            "config": asdict(ff.config),
+            **_flow_copies(fitted.config, fitted.origin),
             "countries": list(ff.countries),
             "n_components": int(ff.n_components),
             "relaxation": fitted.rates.to_dict(),
@@ -135,6 +142,13 @@ def model_from_dict(doc):
     config = FitConfig.from_dict(doc["meta"]["config"])
     if config_hash(config) != doc["meta"]["config_hash"]:
         raise ArtifactError("config hash does not match file content")
+    origin = int(doc["meta"]["origin"])
+    for key, want in _flow_copies(config, origin).items():
+        if fl[key] != want:
+            raise ArtifactError(f"flowfield.{key} {fl[key]!r} does not "
+                                f"match meta ({want!r})")
+    if doc["meta"]["countries"] != tk["countries"]:
+        raise ArtifactError("meta.countries does not match tucker.countries")
 
     model = TuckerModel(
         sex_factor=decode_array(tk["sex_factor"]),
@@ -166,9 +180,6 @@ def model_from_dict(doc):
         s1_of_e0=SmoothFn.from_dict(fl["s1_of_e0"]),
         e0_of_s1=ExtendedFn.from_dict(fl["e0_of_s1"]),
         transition=float(fl["transition"]),
-        origin=int(fl["origin"]),
-        kernel=EraKernel(**fl["kernel"]),
-        config=FlowConfig(**fl["config"]),
         countries=tuple(fl["countries"]),
         n_components=int(fl["n_components"]),
     )
@@ -178,8 +189,8 @@ def model_from_dict(doc):
     fitted = FittedModel(model=model, pca=pca, flowfield=flowfield,
                          rates=rates,
                          mask=decode_array(doc["mask"]).astype(bool),
-                         origin=int(doc["meta"]["origin"]),
-                         config=config, calibration=calibration)
+                         origin=origin, config=config,
+                         calibration=calibration)
     _check_sizes(fitted, tuple(tk["ranks"]))
     return fitted
 

@@ -8,7 +8,7 @@ FlowField the forecaster integrates.
 """
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,19 +97,6 @@ def series_from_fit(model, pca, tensor, grid=None):
 
 
 @dataclass
-class FlowConfig:
-    """Knobs for the flow-field fit."""
-
-    tau: float = 12.0
-    window: float = 40.0
-    bandwidth: float = 0.20
-    transition_e0: float = 78.0
-    tail_delta: float = 2.0
-    tail_blend: float = 3.0
-    seed: int = 0
-
-
-@dataclass
 class FlowField:
     """Fitted dynamics: speed, trajectories, level maps, tail behaviour."""
 
@@ -118,9 +105,6 @@ class FlowField:
     s1_of_e0: SmoothFn
     e0_of_s1: ExtendedFn
     transition: float
-    origin: int
-    kernel: EraKernel
-    config: FlowConfig
     countries: tuple
     n_components: int
 
@@ -166,7 +150,6 @@ class FlowPaths:
     e0_of_s1: ExtendedFn
     transition: float
     origin: int
-    config: FlowConfig
     countries: tuple
     n_components: int
 
@@ -175,7 +158,7 @@ class FlowPaths:
         return self.trajectories[k - 2]
 
 
-def fit_paths(series_by_country, origin, config=None):
+def fit_paths(series_by_country, origin, config):
     """Fit the era-free half of the flow field at a given origin.
 
     Series extending past the origin are re-smoothed on years <= origin
@@ -184,9 +167,9 @@ def fit_paths(series_by_country, origin, config=None):
     fits on raw scores; all of them get the tangent tail extension
     anchored at s1_of_e0(transition_e0), clamped into each curve's knot
     range.  The smoothed (level, velocity, year) observations that the
-    speed fit pools are kept for ``fit_speed``.
+    speed fit pools are kept for ``fit_speed``.  Only the bandwidth and
+    tail settings of ``config``, the fit's FitConfig, are read.
     """
-    config = config or FlowConfig()
     truncated = list(truncate_series(series_by_country, origin).values())
     if not truncated:
         raise InsufficientDataError("no usable country series at this origin")
@@ -215,20 +198,19 @@ def fit_paths(series_by_country, origin, config=None):
         speed_obs=(speed_x, speed_y, speed_years),
         trajectories=tuple(_extend(b, transition, config) for b in traj_bases),
         s1_of_e0=s1_of_e0, e0_of_s1=_extend(e0_base, transition, config),
-        transition=transition, origin=int(origin), config=config,
+        transition=transition, origin=int(origin),
         countries=tuple(s.country for s in truncated),
         n_components=n_components)
 
 
-def fit_speed(paths, tau, window, seed):
+def fit_speed(paths, config):
     """Complete a FlowField with the era-weighted speed function.
 
     The speed function is the era-weighted fit of smoothed velocities on
-    smoothed levels, with the same tail extension as the paths.  Only
-    the era settings are taken here; every other setting is the one the
-    paths were fitted with.
+    smoothed levels, with the same tail extension as the paths.  The era
+    settings (tau, window, seed) are free; the bandwidth and tail
+    settings of ``config`` must be the ones the paths were fitted with.
     """
-    config = replace(paths.config, tau=tau, window=window, seed=seed)
     kernel = EraKernel(origin=float(paths.origin), tau=config.tau,
                        window=config.window)
     speed_base = era_lowess(*paths.speed_obs, kernel,
@@ -236,12 +218,11 @@ def fit_speed(paths, tau, window, seed):
     return FlowField(speed=_extend(speed_base, paths.transition, config),
                      trajectories=paths.trajectories,
                      s1_of_e0=paths.s1_of_e0, e0_of_s1=paths.e0_of_s1,
-                     transition=paths.transition, origin=paths.origin,
-                     kernel=kernel, config=config, countries=paths.countries,
+                     transition=paths.transition, countries=paths.countries,
                      n_components=paths.n_components)
 
 
-def fit_flowfield(series_by_country, origin, config=None):
+def fit_flowfield(series_by_country, origin, config):
     """Fit the flow field from pooled country series at a given origin.
 
     Parameters
@@ -252,7 +233,8 @@ def fit_flowfield(series_by_country, origin, config=None):
         smoothing window.
     origin : int
         Anchor year of the era kernel and the look-ahead cutoff.
-    config : FlowConfig
+    config : FitConfig
+        The fit's configuration; the flow field keeps none of it.
 
     Notes
     -----
@@ -260,9 +242,7 @@ def fit_flowfield(series_by_country, origin, config=None):
     speed function (``fit_speed``): trajectory functions and the level
     maps ignore the era configuration entirely.
     """
-    config = config or FlowConfig()
-    return fit_speed(fit_paths(series_by_country, origin, config),
-                     config.tau, config.window, config.seed)
+    return fit_speed(fit_paths(series_by_country, origin, config), config)
 
 
 def _extend(base, transition, config):

@@ -315,6 +315,9 @@ def tier1_state(ff, years, e0_values, country="tier1"):
     """
     years = np.asarray(years, dtype=float)
     e0_values = np.asarray(e0_values, dtype=float)
+    if years.ndim != 1 or years.shape != e0_values.shape:
+        raise ShapeMismatchError("tier-1 years and e0 must be 1-d arrays "
+                                 "of equal length")
     if not (np.isfinite(years).all() and np.isfinite(e0_values).all()):
         raise DataError("tier-1 years and e0 must be finite")
     if np.unique(years).size != years.size:

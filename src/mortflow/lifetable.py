@@ -62,8 +62,7 @@ def life_table_e0(qx):
     DomainError
         If any probability falls outside [0, 1].
     """
-    qx = _validated(qx)
-    l = survivorship(qx)
+    l = survivorship(qx)  # validates qx
     e0 = 0.3 + 0.7 * l[..., 1] + 0.5 * (l[..., 1:-1] + l[..., 2:]).sum(axis=-1)
     return float(e0) if e0.ndim == 0 else e0
 

@@ -17,7 +17,6 @@ from .convergence import (RelaxationRates, estimate_rates, speed_rate,
 from .data import MortalityTensor, truncate_tensor
 from .errors import ConfigError, MissingDataError
 from .flowfield import (
-    FlowConfig,
     FlowField,
     fit_flowfield,
     fit_paths,
@@ -82,10 +81,6 @@ class FitConfig:
             object.__setattr__(self, f.name, value)
         if self.n_components < 1:
             raise ConfigError("n_components must be at least 1")
-
-    def flow_config(self):
-        return FlowConfig(**{f.name: getattr(self, f.name)
-                             for f in fields(FlowConfig)})
 
     def to_dict(self):
         d = asdict(self)
@@ -213,7 +208,7 @@ def fit_path_dynamics(basis, config=None):
     once per era setting.
     """
     config = config or FitConfig()
-    paths = fit_paths(basis.series, basis.origin, config.flow_config())
+    paths = fit_paths(basis.series, basis.origin, config)
     return paths, structural_rates(paths, basis.series,
                                    max_lag=config.max_lag)
 
@@ -221,7 +216,7 @@ def fit_path_dynamics(basis, config=None):
 def fit_speed_dynamics(basis, paths, alpha_s, config=None):
     """Complete the dynamics with the era settings of ``config``."""
     config = config or FitConfig()
-    ff = fit_speed(paths, config.tau, config.window, config.seed)
+    ff = fit_speed(paths, config)
     alpha_v = speed_rate(ff, basis.series, max_lag=config.max_lag)
     return ff, RelaxationRates(alpha_v=alpha_v, alpha_s=alpha_s)
 
@@ -232,7 +227,7 @@ def fit_dynamics(basis, config=None):
     The same result as ``fit_speed_dynamics`` on ``fit_path_dynamics``.
     """
     config = config or FitConfig()
-    ff = fit_flowfield(basis.series, basis.origin, config.flow_config())
+    ff = fit_flowfield(basis.series, basis.origin, config)
     rates = estimate_rates(ff, basis.series, max_lag=config.max_lag)
     return ff, rates
 

@@ -47,6 +47,8 @@ class SmoothFn:
             raise DataError("knots and values must be 1-d arrays of equal length")
         if knots.size == 0:
             raise DataError("empty knot grid")
+        if not np.isfinite(knots).all():
+            raise DataError("knots must be finite")
         if np.any(np.diff(knots) <= 0):
             raise DataError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)

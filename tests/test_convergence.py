@@ -17,8 +17,8 @@ from mortflow.convergence import (
     pooled_autocorr,
 )
 from mortflow.errors import DataError, InsufficientDataError, MissingDataError
-from mortflow.flowfield import CountryScoreSeries, FlowConfig, FlowField
-from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
+from mortflow.flowfield import CountryScoreSeries, FlowField
+from mortflow.smoothing import ExtendedFn, SmoothFn
 
 from oracles import (ar1_path, reference_beta_curve, reference_deviations,
                      reference_lag_sums, reference_pooled_autocorr)
@@ -45,9 +45,6 @@ def affine_field(speed_value=-0.25, cks=(0.5, -0.2)):
         s1_of_e0=affine_line(200.0, -2.0),
         e0_of_s1=ExtendedFn.build(affine_line(100.0, -0.5), transition=0.0),
         transition=0.0,
-        origin=2010,
-        kernel=EraKernel(origin=2010, tau=12.0, window=40.0),
-        config=FlowConfig(),
         countries=("X",),
         n_components=len(cks) + 1,
     )

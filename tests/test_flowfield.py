@@ -4,7 +4,6 @@ import pytest
 from mortflow.data import MortalityTensor
 from mortflow.errors import EmptyEraError, InsufficientDataError
 from mortflow.flowfield import (
-    FlowConfig,
     build_country_series,
     derivative_correlations,
     fit_flowfield,
@@ -12,6 +11,7 @@ from mortflow.flowfield import (
 )
 from mortflow.lifetable import e0_by_sex
 from mortflow.pca import fit_core_pca, score_grid
+from mortflow.pipeline import FitConfig
 from mortflow.tucker import hosvd
 
 CKS = (-0.9, 0.5, -0.3, 0.2)
@@ -93,7 +93,7 @@ def test_smoothing_bandwidth_floor_tracks_series_length():
 
 def test_lockstep_world_recovers_speed_and_trajectories():
     world = lockstep_world()
-    cfg = FlowConfig(seed=1)
+    cfg = FitConfig(seed=1)
     ff = fit_flowfield(world, origin=2010, config=cfg)
     s1_grid = np.linspace(8.0, 30.0, 45)
     np.testing.assert_allclose(ff.speed(s1_grid), -0.3, atol=1e-8)
@@ -108,7 +108,7 @@ def test_lockstep_world_recovers_speed_and_trajectories():
 
 def test_tail_extension_continues_affine_world():
     world = lockstep_world()
-    ff = fit_flowfield(world, origin=2010, config=FlowConfig(seed=2))
+    ff = fit_flowfield(world, origin=2010, config=FitConfig(seed=2))
     # far below every observed s1 the affine structure continues exactly
     deep = np.array([-20.0, -10.0, -5.0])
     np.testing.assert_allclose(ff.speed(deep), -0.3, atol=1e-6)
@@ -127,9 +127,9 @@ def test_era_kernel_steers_speed_toward_recent_regime():
                              30.0 - 2.0 * j - np.cumsum(rate)])
         world[f"C{j}"] = lockstep_series(f"C{j}", years, s1)
     recent = fit_flowfield(world, origin=2010,
-                           config=FlowConfig(tau=5.0, window=200.0, seed=3))
+                           config=FitConfig(tau=5.0, window=200.0, seed=3))
     diffuse = fit_flowfield(world, origin=2010,
-                            config=FlowConfig(tau=1e6, window=200.0, seed=3))
+                            config=FitConfig(tau=1e6, window=200.0, seed=3))
     probe = 20.0  # s1 visited by both eras across the staggered countries
     assert recent.speed(probe) < -0.4
     assert diffuse.speed(probe) > -0.3
@@ -144,8 +144,8 @@ def test_trajectories_and_maps_ignore_era_config():
         s1 = 30.0 - 2.0 * j - 0.3 * (years - 1950)
         world[f"C{j}"] = lockstep_series(f"C{j}", years, s1, noise_scale=0.3,
                                          rng=rng)
-    a = fit_flowfield(world, origin=2010, config=FlowConfig(tau=5.0, seed=7))
-    b = fit_flowfield(world, origin=2010, config=FlowConfig(tau=30.0, seed=7))
+    a = fit_flowfield(world, origin=2010, config=FitConfig(tau=5.0, seed=7))
+    b = fit_flowfield(world, origin=2010, config=FitConfig(tau=30.0, seed=7))
     for fa, fb in zip(a.trajectories, b.trajectories):
         np.testing.assert_array_equal(fa.base.knots, fb.base.knots)
         np.testing.assert_array_equal(fa.base.values, fb.base.values)
@@ -156,8 +156,8 @@ def test_trajectories_and_maps_ignore_era_config():
 
 def test_fit_is_reproducible_for_fixed_seed():
     world = lockstep_world()
-    a = fit_flowfield(world, origin=2010, config=FlowConfig(seed=11))
-    b = fit_flowfield(world, origin=2010, config=FlowConfig(seed=11))
+    a = fit_flowfield(world, origin=2010, config=FitConfig(seed=11))
+    b = fit_flowfield(world, origin=2010, config=FitConfig(seed=11))
     np.testing.assert_array_equal(a.speed.base.knots, b.speed.base.knots)
     np.testing.assert_array_equal(a.speed.base.values, b.speed.base.values)
     assert a.transition == b.transition
@@ -172,7 +172,7 @@ def test_no_lookahead_beyond_origin():
         s1_post = s1_pre[-1] + 99.0 * np.arange(1, years.size - n_pre + 1)
         s1 = np.concatenate([s1_pre, s1_post])
         world[f"C{j}"] = lockstep_series(f"C{j}", years, s1)
-    ff = fit_flowfield(world, origin=2005, config=FlowConfig(seed=5))
+    ff = fit_flowfield(world, origin=2005, config=FitConfig(seed=5))
     assert ff.speed.base.knots.max() <= 20.0 + 1e-9
     np.testing.assert_allclose(ff.speed.base.values, -0.2, atol=1e-6)
     # trajectory knots also stop at the origin's s1 range
@@ -188,13 +188,13 @@ def test_too_few_speed_observations_raise():
         world[f"C{j}"] = lockstep_series(f"C{j}", years, s1)
     # 3 countries x 4 pairs = 12 < 20
     with pytest.raises(InsufficientDataError):
-        fit_flowfield(world, origin=2004, config=FlowConfig(seed=0))
+        fit_flowfield(world, origin=2004, config=FitConfig(seed=0))
 
 
 def test_empty_era_window_raises():
     world = lockstep_world(start_year=1900, end_year=1950)
     with pytest.raises(EmptyEraError):
-        fit_flowfield(world, origin=2010, config=FlowConfig(window=30.0, seed=0))
+        fit_flowfield(world, origin=2010, config=FitConfig(window=30.0, seed=0))
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from mortflow import expit
 from mortflow.convergence import RelaxationRates
 from mortflow.errors import CalibrationMissingError, ConfigError, DataError, \
     InsufficientDataError
-from mortflow.flowfield import FlowConfig, FlowField
+from mortflow.flowfield import FlowField
 from mortflow.forecast import (
     CountryState,
     ForecastConfig,
@@ -32,7 +32,7 @@ from mortflow.forecast import (
 )
 from mortflow.pca import CorePCA
 from mortflow.pipeline import FitConfig, fit_model
-from mortflow.smoothing import EraKernel, ExtendedFn, SmoothFn
+from mortflow.smoothing import ExtendedFn, SmoothFn
 from mortflow.synth import SyntheticSpec, generate
 from mortflow.tucker import TuckerModel
 
@@ -55,9 +55,6 @@ def affine_field(speed_value=-0.05, cks=(0.5, -0.2)):
         s1_of_e0=affine_line(200.0, -2.0),
         e0_of_s1=ExtendedFn.build(affine_line(100.0, -0.5), transition=0.0),
         transition=0.0,
-        origin=2010,
-        kernel=EraKernel(origin=2010, tau=12.0, window=40.0),
-        config=FlowConfig(),
         countries=("X",),
         n_components=len(cks) + 1,
     )
@@ -324,6 +321,13 @@ def test_tier1_state_needs_two_points():
     ([2000, 2001, 2002], [80.0, np.nan, 80.4], "must be finite"),
     ([2000, np.inf, 2002], [80.0, 80.2, 80.4], "must be finite"),
     ([np.nan, 2001, 2002], [80.0, 80.2, 80.4], "must be finite"),
+    # a ShapeMismatchError, raised before any other check
+    ([2000, 2001, 2002], [80.0, 80.2], "1-d arrays of equal length"),
+    ([2000, 2000, 2001], [80.0, np.nan], "1-d arrays of equal length"),
+    ([[2000, 2001], [2002, 2003]], [[80.0, 80.2], [80.4, 80.6]],
+     "1-d arrays of equal length"),
+    ([2000, 2001, 2002, 2003], [[80.0, 80.2], [80.4, 80.6]],
+     "1-d arrays of equal length"),
 ])
 def test_tier1_state_rejects_repeated_or_non_finite_points(years, e0,
                                                            message):

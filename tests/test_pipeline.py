@@ -47,7 +47,6 @@ def test_fit_model_end_to_end():
     assert fitted.origin == 1969
     assert fitted.model.core.shape == (2, 24, 6, 70)
     assert fitted.pca.n_components == 4
-    assert fitted.flowfield.origin == 1969
     assert len(fitted.flowfield.countries) == 6
     assert fitted.rates.alpha_s[0] == 0.0
     assert all(0.0 <= a < 1.0 for a in fitted.rates.alpha_s)

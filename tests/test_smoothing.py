@@ -38,6 +38,14 @@ def test_smoothfn_requires_sorted_knots():
         SmoothFn(knots=np.array([1.0, 0.0]), values=np.array([0.0, 1.0]))
 
 
+def test_smoothfn_requires_finite_knots():
+    # NaN compares False, so the sortedness check alone lets it through
+    with pytest.raises(DataError, match="finite"):
+        SmoothFn(knots=[0.0, np.nan, 1.0], values=[0.0, 1.0, 2.0])
+    with pytest.raises(DataError, match="finite"):
+        SmoothFn(knots=[0.0, np.inf], values=[0.0, 1.0])
+
+
 def test_smoothfn_roundtrip_dict():
     fn = SmoothFn(knots=np.array([0.0, 2.0]), values=np.array([3.0, 5.0]))
     fn2 = SmoothFn.from_dict(fn.to_dict())
