@@ -16,7 +16,7 @@ import numpy as np
 
 from .convergence import RelaxationRates
 from .data import SEXES
-from .errors import ArtifactError
+from .errors import ArtifactError, DataError, TailConfigError
 from .flowfield import FlowField
 from .forecast import PICalibration
 from .pca import CorePCA
@@ -143,6 +143,12 @@ def model_from_dict(doc):
     if config_hash(config) != doc["meta"]["config_hash"]:
         raise ArtifactError("config hash does not match file content")
     origin = int(doc["meta"]["origin"])
+    last = int(tk["years"][-1])
+    # the fit's origin: its explicit setting, else the last year it kept
+    want = last if config.origin is None else config.origin
+    if origin != want or last > origin:
+        raise ArtifactError(f"meta.origin {origin} does not match the fit "
+                            f"(origin {want}, last year {last})")
     for key, want in _flow_copies(config, origin).items():
         if fl[key] != want:
             raise ArtifactError(f"flowfield.{key} {fl[key]!r} does not "
@@ -243,5 +249,6 @@ def load_model(path):
         raise ArtifactError("not a model file: top level is not an object")
     try:
         return model_from_dict(doc)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, DataError,
+            TailConfigError) as exc:
         raise ArtifactError(f"malformed model file: {exc}") from exc

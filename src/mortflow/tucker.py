@@ -4,7 +4,11 @@ The decomposition factors the (sex, age, country, year) logit tensor
 into orthonormal per-mode bases and a core.  Collapsing the core with
 one country row and one year row yields a small sex-by-age "effective
 core" g, and S g A^T maps it back to a full schedule; that matrix is
-the object the rest of the pipeline works with.
+the object the rest of the pipeline works with.  Since g depends on the
+country and year bases only through C C^T and T T^T, a country or year
+mode kept at full rank gets the identity factor, and the core then holds
+every cell's effective core as it is.  The sex and age bases are always
+singular vectors.
 """
 
 from dataclasses import dataclass
@@ -66,7 +70,8 @@ def hosvd(tensor, ranks):
     tensor : MortalityTensor
         Unobserved cells are mean-filled before the factorisation.
     ranks : tuple of 4 ints
-        Retained components per mode; each must not exceed the mode size.
+        Retained components per mode; each must lie in 1..size and must
+        not exceed the mode's spectrum, min(size, tensor.size // size).
 
     Returns
     -------
@@ -74,9 +79,21 @@ def hosvd(tensor, ranks):
 
     Notes
     -----
-    Each factor holds the leading left singular vectors of the mode
-    unfolding, with every column flipped so its largest-magnitude entry
-    is positive.  Identical input therefore yields byte-identical output.
+    The pipeline reads the factorization only through the effective
+    cores G_ct = sum_kl core[:, :, k, l] C[c, k] T[t, l].  When the
+    country and year factors C and T are square, C C^T = T T^T = I and
+    G_ct = S^T X[:, :, c, t] A, whatever basis they hold.  So a country
+    or year mode kept at full rank gets the identity factor and no SVD,
+    and core[:, :, c, t] is then exactly the effective core of cell
+    (c, t).  The sex and age factors S and A, and a truncated country or
+    year factor, hold the leading left singular vectors of the mode
+    unfolding M.  They come from the SVD of R^T, where M^T = QR: M and
+    R^T share their left singular vectors, and the wide M's right
+    vectors are never formed.  S and A stay SVD bases even at full rank,
+    because the core PCA and its sign convention are expressed in them.
+    Every SVD factor is flipped column by column so that its
+    largest-magnitude entry is positive, and identical input yields
+    byte-identical output.
     """
     values = fill_missing(tensor.values, tensor.mask)
     if len(ranks) != 4:
@@ -87,22 +104,28 @@ def hosvd(tensor, ranks):
         if not 1 <= rank <= dim:
             raise RankError(
                 f"rank {rank} invalid for {MODE_NAMES[mode]} mode of size {dim}")
-        unfolding = np.moveaxis(values, mode, 0).reshape(dim, -1)
-        u, _, _ = np.linalg.svd(unfolding, full_matrices=False)
-        if rank > u.shape[1]:
+        if rank > values.size // dim:
             raise RankError(
                 f"rank {rank} exceeds the spectrum of the {MODE_NAMES[mode]} mode")
+        if mode >= 2 and rank == dim:
+            factors.append(np.eye(dim))
+            continue
+        unfolding = np.moveaxis(values, mode, 0).reshape(dim, -1)
+        r = np.linalg.qr(unfolding.T, mode="r")
+        u, _, _ = np.linalg.svd(r.T, full_matrices=False)
         u = u[:, :rank].copy()
         flip = u[np.argmax(np.abs(u), axis=0), np.arange(rank)] < 0
         u[:, flip] *= -1.0
         factors.append(u)
     s, a, c, t = factors
+    core = np.einsum("sact,si,aj->ijct", values, s, a, optimize=True)
+    if (c.shape[1], t.shape[1]) != values.shape[2:]:
+        core = np.einsum("ijct,ck,tl->ijkl", core, c, t, optimize=True)
     # C order, as load_model gives it: the contractions over the core round
     # by its layout, so a fitted and a loaded model agree bit for bit
-    core = np.ascontiguousarray(
-        np.einsum("sact,si,aj,ck,tl->ijkl", values, s, a, c, t, optimize=True))
     return TuckerModel(sex_factor=s, age_factor=a, country_factor=c,
-                       year_factor=t, core=core, countries=tensor.countries,
+                       year_factor=t, core=np.ascontiguousarray(core),
+                       countries=tensor.countries,
                        years=np.asarray(tensor.years).copy(),
                        ages=np.asarray(tensor.ages).copy())
 

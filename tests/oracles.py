@@ -72,6 +72,42 @@ def reference_effective_core(core, country_row, year_row):
     return g
 
 
+def reference_hosvd(tensor, ranks):
+    """``tucker.hosvd`` as it was before full-rank country and year modes
+    became identity factors: one full SVD per mode unfolding, then the
+    core contracted with all four factors.
+    """
+    from mortflow.errors import RankError
+    from mortflow.tucker import MODE_NAMES, TuckerModel, fill_missing
+    values = fill_missing(tensor.values, tensor.mask)
+    if len(ranks) != 4:
+        raise RankError("ranks must have one entry per mode")
+    factors = []
+    for mode, rank in enumerate(ranks):
+        dim = values.shape[mode]
+        if not 1 <= rank <= dim:
+            raise RankError(
+                f"rank {rank} invalid for {MODE_NAMES[mode]} mode of size {dim}")
+        unfolding = np.moveaxis(values, mode, 0).reshape(dim, -1)
+        u, _, _ = np.linalg.svd(unfolding, full_matrices=False)
+        if rank > u.shape[1]:
+            raise RankError(
+                f"rank {rank} exceeds the spectrum of the {MODE_NAMES[mode]} mode")
+        u = u[:, :rank].copy()
+        flip = u[np.argmax(np.abs(u), axis=0), np.arange(rank)] < 0
+        u[:, flip] *= -1.0
+        factors.append(u)
+    s, a, c, t = factors
+    # C order, as load_model gives it: the contractions over the core round
+    # by its layout, so a fitted and a loaded model agree bit for bit
+    core = np.ascontiguousarray(
+        np.einsum("sact,si,aj,ck,tl->ijkl", values, s, a, c, t, optimize=True))
+    return TuckerModel(sex_factor=s, age_factor=a, country_factor=c,
+                       year_factor=t, core=core, countries=tensor.countries,
+                       years=np.asarray(tensor.years).copy(),
+                       ages=np.asarray(tensor.ages).copy())
+
+
 def ar1_path(alpha, sigma_stationary, n, rng):
     """Stationary AR(1) sample path."""
     x = np.empty(n)

@@ -16,7 +16,10 @@ from mortflow.artifact import (
     save_model,
 )
 from mortflow.cli import main
-from mortflow.errors import ArtifactError, DataError, InsufficientDataError
+from mortflow.data import drop_country
+from mortflow.errors import (ArtifactError, DataError, InsufficientDataError,
+                             TailConfigError)
+from mortflow.evaluation import CVConfig
 from mortflow.forecast import PICalibration, country_state
 from mortflow.pipeline import FitConfig, fit_model
 from mortflow.smoothing import SmoothFn
@@ -24,9 +27,13 @@ from mortflow.synth import SyntheticSpec, generate
 
 
 @pytest.fixture(scope="module")
-def fitted():
-    world = generate(SyntheticSpec(n_countries=5, n_ages=18, n_years=50,
-                                   stagger=3, seed=9))
+def world():
+    return generate(SyntheticSpec(n_countries=5, n_ages=18, n_years=50,
+                                  stagger=3, seed=9))
+
+
+@pytest.fixture(scope="module")
+def fitted(world):
     return fit_model(world.tensor, FitConfig(n_components=3))
 
 
@@ -226,6 +233,26 @@ def test_load_rejects_blocks_that_disagree_on_a_size(fitted, tmp_path, check):
         load_model(path)
 
 
+def _assert_load_fails(doc, message, tmp_path, cause=None):
+    """load_model raises ArtifactError and the CLI exits 3 on ``doc``."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ArtifactError, match=message) as info:
+        load_model(path)
+    if cause is not None:
+        assert isinstance(info.value.__cause__, cause)
+    rc = main(["forecast", "--model", str(path), "--country",
+               doc["tucker"]["countries"][0], "--out", str(tmp_path / "fc")])
+    assert rc == 3
+
+
+def _move_origin(doc, year):
+    """Set meta.origin and its flowfield copies to ``year`` together."""
+    doc["meta"]["origin"] = year
+    doc["flowfield"]["origin"] = year
+    doc["flowfield"]["kernel"]["origin"] = float(year)
+
+
 # the blocks that repeat another block: name -> (mutate(doc), message)
 COPY_MUTATIONS = {
     "flowfield.config": (lambda d: d["flowfield"]["config"].update(tau=30.0),
@@ -236,6 +263,8 @@ COPY_MUTATIONS = {
                          "flowfield.origin"),
     "meta.countries": (lambda d: d["meta"]["countries"].reverse(),
                        "meta.countries"),
+    # meta.origin with all its copies: checked against the tucker years
+    "meta.origin": (lambda d: _move_origin(d, 1800), "meta.origin"),
 }
 
 
@@ -245,22 +274,58 @@ def test_load_rejects_copies_that_disagree_with_their_source(fitted, tmp_path,
     doc = model_to_dict(fitted)
     mutate, message = COPY_MUTATIONS[copy]
     mutate(doc)
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ArtifactError, match=message):
-        load_model(path)
-    rc = main(["forecast", "--model", str(path), "--country",
-               fitted.model.countries[0], "--out", str(tmp_path / "fc")])
-    assert rc == 3
+    _assert_load_fails(doc, message, tmp_path)
 
 
 def test_load_rejects_a_nan_knot(fitted, tmp_path):
     doc = model_to_dict(fitted)
     doc["flowfield"]["speed"]["base"]["knots"][1] = float("nan")
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match="finite"):
-        load_model(path)
+    _assert_load_fails(doc, "knots must be finite", tmp_path, cause=DataError)
+
+
+def test_load_rejects_a_trajectory_without_a_blend(fitted, tmp_path):
+    doc = model_to_dict(fitted)
+    doc["flowfield"]["trajectories"][0]["blend_width"] = 0.0
+    _assert_load_fails(doc, "blend width", tmp_path, cause=TailConfigError)
+
+
+def _explicit_origin_doc(tensor, origin):
+    config = CVConfig(n_components=3).fit_config(origin)
+    return model_to_dict(fit_model(tensor, config, clip_ranks=True))
+
+
+def test_explicit_origins_load(world, tmp_path):
+    years = world.tensor.years
+    # a strict-LOCO refit: one country out, the origin inside the years
+    training = drop_country(world.tensor, world.tensor.countries[2])
+    for tensor, origin in ((training, int(years[30])),
+                           (world.tensor, int(years[-1]) + 3)):
+        path = tmp_path / f"m{origin}.json"
+        path.write_text(json.dumps(_explicit_origin_doc(tensor, origin)))
+        loaded = load_model(path)
+        assert loaded.origin == loaded.config.origin == origin
+        assert loaded.model.years[-1] == min(origin, years[-1])
+
+
+@pytest.mark.parametrize("move", ["earlier", "later"])
+def test_load_rejects_an_origin_unlike_the_fit(world, fitted, tmp_path,
+                                               move):
+    last = int(fitted.model.years[-1])
+    # the origin defaults to the last year: meta.origin must equal it
+    doc = model_to_dict(fitted)
+    _move_origin(doc, last - 1 if move == "earlier" else last + 1)
+    _assert_load_fails(doc, "meta.origin", tmp_path)
+    # an explicit origin must equal meta.origin and not precede the years
+    doc = _explicit_origin_doc(world.tensor, last)
+    if move == "earlier":
+        # consistent config, hash and copies, yet the years run past it
+        doc["meta"]["config"]["origin"] = last - 1
+        doc["meta"]["config_hash"] = config_hash(
+            FitConfig.from_dict(doc["meta"]["config"]))
+        _move_origin(doc, last - 1)
+    else:
+        _move_origin(doc, last + 1)
+    _assert_load_fails(doc, "meta.origin", tmp_path)
 
 
 def _state_bytes(state):

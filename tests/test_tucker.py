@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from mortflow.data import MortalityTensor
 from mortflow.errors import DataError, RankError
@@ -13,7 +14,7 @@ from mortflow.tucker import (
     reconstruct_schedule,
 )
 
-from oracles import reference_effective_core
+from oracles import reference_effective_core, reference_hosvd
 
 
 def make_tensor(values, mask=None):
@@ -87,6 +88,94 @@ def test_rank_validation():
         hosvd(tensor, ranks=(3, 8, 5, 12))
     with pytest.raises(RankError):
         hosvd(tensor, ranks=(2, 9, 5, 12))
+
+
+def test_rank_beyond_the_spectrum_raises_for_a_full_size_mode():
+    # rank 10 equals the year size but exceeds the spectrum: 10 > 40 // 10
+    tensor = random_tensor(np.random.default_rng(25), shape=(2, 2, 1, 10))
+    with pytest.raises(RankError, match="spectrum of the year mode"):
+        hosvd(tensor, ranks=(2, 2, 1, 10))
+    assert hosvd(tensor, ranks=(2, 2, 1, 4)).year_factor.shape == (10, 4)
+
+
+def test_full_rank_country_and_year_factors_are_identity():
+    rng = np.random.default_rng(26)
+    mask = rng.random((5, 12)) < 0.7
+    values = np.where(mask, rng.normal(size=(2, 8, 5, 12)), np.nan)
+    tensor = make_tensor(values, mask)
+    model = hosvd(tensor, ranks=(2, 8, 5, 12))
+    assert model.country_factor.dtype == model.year_factor.dtype == float
+    np.testing.assert_array_equal(model.country_factor, np.eye(5))
+    np.testing.assert_array_equal(model.year_factor, np.eye(12))
+    # the sex and age factors stay SVD bases even at full rank
+    assert not np.array_equal(model.sex_factor, np.eye(2))
+    assert not np.array_equal(model.age_factor, np.eye(8))
+    # each core slab is its cell's effective core, bit for bit
+    np.testing.assert_array_equal(effective_core_grid(model),
+                                  np.moveaxis(model.core, (2, 3), (0, 1)))
+    filled = fill_missing(values, mask)
+    np.testing.assert_allclose(
+        model.core[:, :, 3, 7],
+        model.sex_factor.T @ filled[:, :, 3, 7] @ model.age_factor,
+        rtol=0, atol=1e-13)
+    again = hosvd(tensor, ranks=(2, 8, 5, 12))
+    for f1, f2 in zip(model.factors + (model.core,),
+                      again.factors + (again.core,)):
+        assert f1.tobytes() == f2.tobytes()
+    assert model.core.flags.c_contiguous
+
+
+@st.composite
+def hosvd_cases(draw):
+    """A small tensor, a mask with at least one observed cell, and ranks
+    that keep some modes whole and truncate others."""
+    shape = (2, draw(st.integers(2, 8)), draw(st.integers(1, 5)),
+             draw(st.integers(2, 10)))
+    size = int(np.prod(shape))
+    ranks = []
+    for dim in shape:
+        cap = min(dim, size // dim)
+        ranks.append(cap if draw(st.booleans())
+                     else draw(st.integers(1, cap)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = rng.random(shape[2:]) < draw(st.floats(0.2, 1.0))
+    mask.flat[rng.integers(mask.size)] = True
+    values = np.where(mask, rng.normal(size=shape), np.nan)
+    return make_tensor(values, mask), tuple(ranks)
+
+
+def _separated(tensor, mode, rank):
+    """True when the mode's retained singular values are distinct and
+    clear of the discarded ones, so its factor is defined to rounding."""
+    values = fill_missing(tensor.values, tensor.mask)
+    dim = values.shape[mode]
+    sv = np.linalg.svd(np.moveaxis(values, mode, 0).reshape(dim, -1),
+                       compute_uv=False)
+    sv = np.append(sv, 0.0)
+    live = sv[:rank + 1] > 1e-8 * sv[0]
+    gaps = -np.diff(sv[:rank + 1])
+    return bool(np.all(gaps[live[:-1] & live[1:]] > 1e-4 * sv[0])
+                and (rank == dim or sv[rank - 1] - sv[rank] > 1e-4 * sv[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosvd_cases())
+def test_hosvd_matches_the_full_svd_reference(case):
+    tensor, ranks = case
+    assume(all(_separated(tensor, mode, rank)
+               for mode, rank in enumerate(ranks)))
+    got, want = hosvd(tensor, ranks), reference_hosvd(tensor, ranks)
+    assert got.core.shape == want.core.shape == ranks
+    g_got, g_want = effective_core_grid(got), effective_core_grid(want)
+    np.testing.assert_allclose(g_got, g_want, rtol=0,
+                               atol=1e-10 * np.abs(g_want).max())
+    for f_got, f_want, rank in zip(got.factors, want.factors, ranks):
+        dim = f_want.shape[0]
+        if rank < dim:
+            np.testing.assert_allclose(f_got @ f_got.T, f_want @ f_want.T,
+                                       rtol=0, atol=1e-10)
+        elif f_got is got.country_factor or f_got is got.year_factor:
+            assert np.array_equal(f_got, np.eye(dim))
 
 
 def test_missing_slices_filled_with_cell_means():
