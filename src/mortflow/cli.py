@@ -142,6 +142,9 @@ def _tier2_from_csv(fitted, path):
     if not np.array_equal(tensor.ages, fitted.model.ages):
         raise UsageError("schedule ages do not match the model age grid")
     observed = np.flatnonzero(tensor.mask[0])
+    if not observed.size:
+        raise InsufficientDataError(
+            f"{path}: no year has a complete schedule for both sexes")
     return entry_state(fitted, tensor, 0, int(observed[-1]))
 
 

@@ -6,13 +6,19 @@ This module owns the way raw rows become that tensor: parsing them into
 typed columns, pooling counts into temporal bins, converting central
 rates to probabilities, clamping and transforming, and laying out a
 dense year axis.
+
+A CSV body is parsed by the first of three parsers that accepts it:
+numpy's C tokenizer, then the block parser (csv.reader rows converted a
+block of columns at a time), then the row parser.  Each is a fast path
+that may only accept less than the next, never more or differently; the
+row parser defines what is valid and names the line of the first error.
 """
 
 import csv
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Optional
 
 import numpy as np
@@ -36,12 +42,20 @@ MAX_AGES = 110
 
 # CSV rows parsed into columns at a time: bounds the transient row lists
 BLOCK_ROWS = 4096
+# rows numpy's tokenizer reads at a time: bounds its transient object
+# columns; the lines it reads come _BATCH_CHARS characters at a time
+TOKENIZER_ROWS = 8192
+_BATCH_CHARS = 1 << 17
 
 _KEYS = ("country", "sex", "age", "year")
 _VALUES = ("mx", "deaths", "exposure")
 _INT64 = 2 ** 63
 # what ends a line when a file is read with newline=""
 _LINE_BREAK = re.compile("\r\n|\r|\n")
+# characters the tokenizer reads differently: NUL, which the csv module
+# of Python 3.10 rejects, and the separators \x1c-\x1f, which loadtxt
+# strips from around a numeral and int() and float() do not
+_UNTOKENIZABLE = "\0\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -376,10 +390,19 @@ def read_csv(path):
     Layouts (UTF-8, header required):
         country,sex,age,year,deaths,exposure
         country,sex,age,year,mx
-    Sex is coded f/m, ages are non-negative integers, and every mx,
-    deaths and exposure value is finite and non-negative.  Rows are
-    parsed in blocks of BLOCK_ROWS into a RawTable.  Parse failures
-    raise CsvFormatError carrying the 1-based line number.
+    Header names are matched with surrounding spaces stripped.  Sex is
+    coded f/m, ages are non-negative integers, and every mx, deaths and
+    exposure value is finite and non-negative.  Parse failures raise
+    CsvFormatError carrying the 1-based line number.
+
+    The header is read by the csv module.  The body then goes through up
+    to three parsers, each only a faster way to the next one's result:
+    numpy's C tokenizer (in chunks of TOKENIZER_ROWS rows), the block
+    parser (csv.reader in blocks of BLOCK_ROWS rows) and the row parser.
+    The tokenizer path only accepts less: any exception, failed check or
+    empty body sends the whole file through the block parser, and a
+    block that fails a check goes through the row parser, which defines
+    what is valid and names the line of the first bad row.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -396,8 +419,14 @@ def read_csv(path):
         if has_mx == has_counts:
             raise CsvFormatError(
                 "need either an mx column or deaths+exposure columns", line=1)
-        parser = _BlockParser(header, ("mx",) if has_mx
-                              else ("deaths", "exposure"))
+        values = ("mx",) if has_mx else ("deaths", "exposure")
+        table = _tokenized(fh, _BlockParser(cols, values))
+        if table is not None:
+            return table
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        parser = _BlockParser(cols, values)
         try:
             while True:
                 first = reader.line_num
@@ -409,6 +438,68 @@ def read_csv(path):
             raise CsvFormatError(str(exc), line=reader.line_num) from exc
     if not parser.blocks:
         raise CsvFormatError("no data rows", line=1)
+    return parser.table()
+
+
+def _tokenized(fh, parser):
+    """The rows after the header read by numpy's C tokenizer, or None.
+
+    Each chunk of TOKENIZER_ROWS rows goes through the block parser's
+    bulk checks and code maps, so a table returned here equals the one
+    the block parser would build.  None sends the file to the block
+    parser: the tokenizer raised or a check failed, the body holds no
+    row or a character in _UNTOKENIZABLE, or a row could hold a field
+    longer than the csv module's field limit.
+    """
+    import warnings  # already loaded by the interpreter at start-up
+
+    lines = longest = 0
+
+    def batches():
+        nonlocal lines, longest
+        while batch := fh.readlines(_BATCH_CHARS):
+            text = "".join(batch)
+            if any(c in text for c in _UNTOKENIZABLE):
+                raise ValueError("a character the tokenizer reads differently")
+            lines += len(batch)
+            longest = max(longest, max(map(len, batch)))
+            yield batch
+
+    body = chain.from_iterable(batches())
+    dtype = [("country", object), ("sex", object), ("age", np.int64),
+             ("year", np.int64)] + [(name, float) for name in parser.values]
+    rows = 0
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns of the empty read after a full last chunk, and
+            # of blank lines, which it skips as the block parser does
+            warnings.simplefilter("ignore", UserWarning)
+            while True:
+                chunk = np.loadtxt(body, dtype=dtype, comments=None,
+                                   delimiter=",", quotechar='"',
+                                   usecols=parser.index,
+                                   max_rows=TOKENIZER_ROWS, ndmin=1)
+                if not chunk.size:
+                    break
+                # copies: a view of the chunk would keep its strings alive
+                columns = parser.checked(
+                    chunk["country"].tolist(), chunk["sex"].tolist(),
+                    chunk["age"].copy(), chunk["year"].copy(),
+                    [chunk[name].copy() for name in parser.values])
+                if columns is None:
+                    return None
+                parser.blocks.append(columns)
+                rows += chunk.size
+                if chunk.size < TOKENIZER_ROWS:
+                    break
+    except Exception:
+        # the block parser reads the file again and raises what is wrong
+        # with it, at its line
+        return None
+    # a row spans at most lines - rows + 1 lines, so no field is longer
+    # than that many of the longest line
+    if not rows or (lines - rows + 1) * longest > csv.field_size_limit():
+        return None
     return parser.table()
 
 
@@ -444,12 +535,23 @@ class _BlockParser:
         self.blocks.append(columns or self._rows(block, first, last))
 
     def _columns(self, rows):
-        if None in self.index:
-            return None
         fields = list(zip(*rows))  # as long as the shortest row
         if len(fields) <= max(self.index):
             return None
         country, sex, age, year, *values = (fields[i] for i in self.index)
+        n = len(rows)
+        return self.checked(country, sex,
+                            np.fromiter(map(int, age), np.int64, n),
+                            np.fromiter(map(int, year), np.int64, n),
+                            [np.fromiter(map(float, v), float, n)
+                             for v in values])
+
+    def checked(self, country, sex, age, year, values):
+        """Typed columns of one block, or None if a bulk check fails.
+
+        country and sex hold the raw fields, age, year and values the
+        parsed arrays.  Both the block and the tokenizer path end here.
+        """
         for raw in dict.fromkeys(sex).keys() - self.sexes.keys():
             code = raw.strip().lower()
             if code not in SEXES:
@@ -459,13 +561,10 @@ class _BlockParser:
             if raw not in self.codes:
                 self.codes[raw] = self.names.setdefault(raw.strip(),
                                                         len(self.names))
-        n = len(rows)
-        age = np.fromiter(map(int, age), np.int64, n)
-        year = np.fromiter(map(int, year), np.int64, n)
-        values = [np.fromiter(map(float, v), float, n) for v in values]
         if (age < 0).any() or not all(np.isfinite(v).all() and (v >= 0).all()
                                       for v in values):
             return None
+        n = age.size
         return (np.fromiter(map(self.codes.__getitem__, country), np.int64, n),
                 np.fromiter(map(self.sexes.__getitem__, sex), np.int8, n),
                 age, year, *values)

@@ -6,8 +6,13 @@ force simulation) and must stay independent of the package internals.
 
 import csv
 import math
+import re
+from itertools import islice
 
 import numpy as np
+
+from mortflow.data import RawTable
+from mortflow.errors import CsvFormatError
 
 
 def simulate_cohort_e0(qx, n_paths, seed):
@@ -417,3 +422,178 @@ def reference_grid(tensor, grid_w, grid_tau, config):
              for w in grid_w for tau in grid_tau]
     best = min(table, key=lambda row: (row["mae"], row["tau"], row["w"]))
     return best, table
+
+
+# the constants ``reference_read_csv`` read from ``mortflow.data``
+SEXES = ("f", "m")
+BLOCK_ROWS = 4096
+_KEYS = ("country", "sex", "age", "year")
+_VALUES = ("mx", "deaths", "exposure")
+_INT64 = 2 ** 63
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+
+
+def _reference_table(countries, columns):
+    """RawTable from (country, sex, age, year, mx, deaths, exposure) columns."""
+    country, sex, age, year, *values = columns
+    return RawTable(countries, np.asarray(country, dtype=np.int64),
+                    np.asarray(sex, dtype=np.int8),
+                    np.asarray(age, dtype=np.int64),
+                    np.asarray(year, dtype=np.int64),
+                    *(np.asarray(v, dtype=float) for v in values))
+
+
+def reference_read_csv(path):
+    """``data.read_csv`` as it was before numpy's tokenizer read the body:
+    csv.reader in blocks, each parsed column by column, and row by row
+    when a block fails a check.  Kept verbatim as the definition of what
+    a valid file is, which table it gives and which line an error names.
+    Header names are not stripped when fields are looked up, so a
+    header with spaces around its names fails at the first row.
+
+    Original docstring:
+
+    Read observation rows from either accepted CSV layout.
+
+    Layouts (UTF-8, header required):
+        country,sex,age,year,deaths,exposure
+        country,sex,age,year,mx
+    Sex is coded f/m, ages are non-negative integers, and every mx,
+    deaths and exposure value is finite and non-negative.  Rows are
+    parsed in blocks of BLOCK_ROWS into a RawTable.  Parse failures
+    raise CsvFormatError carrying the 1-based line number.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError("empty file", line=1)
+        cols = [c.strip() for c in header]
+        base = set(_KEYS)
+        if not base.issubset(cols):
+            raise CsvFormatError(
+                f"missing required columns {sorted(base - set(cols))}", line=1)
+        has_mx = "mx" in cols
+        has_counts = "deaths" in cols and "exposure" in cols
+        if has_mx == has_counts:
+            raise CsvFormatError(
+                "need either an mx column or deaths+exposure columns", line=1)
+        parser = _ReferenceBlockParser(
+            header, ("mx",) if has_mx else ("deaths", "exposure"))
+        try:
+            while True:
+                first = reader.line_num
+                block = list(islice(reader, BLOCK_ROWS))
+                if not block:
+                    break
+                parser.add(block, first, reader.line_num)
+        except csv.Error as exc:
+            raise CsvFormatError(str(exc), line=reader.line_num) from exc
+    if not parser.blocks:
+        raise CsvFormatError("no data rows", line=1)
+    return parser.table()
+
+
+class _ReferenceBlockParser:
+    """Turns blocks of csv rows into typed columns.
+
+    A block is converted column by column.  If any check fails, the
+    block is parsed again row by row, which raises CsvFormatError at the
+    first bad row; the row parser is the definition of what is valid,
+    the column parser only a fast path that accepts less.
+    """
+
+    def __init__(self, header, values):
+        self.header = header
+        # a repeated column name reads its last field, as in csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        self.index = [index.get(name) for name in _KEYS + values]
+        self.values = values
+        self.names = {}   # country -> code
+        self.codes = {}   # raw country field -> code
+        self.sexes = {}   # raw sex field -> code
+        self.blocks = []
+
+    def add(self, block, first, last):
+        """Parse the csv rows read on lines first+1 to last; skip blank rows."""
+        rows = block if all(block) else [r for r in block if r]
+        if not rows:
+            return
+        try:
+            columns = self._columns(rows)
+        except (ValueError, OverflowError):
+            columns = None
+        self.blocks.append(columns or self._rows(block, first, last))
+
+    def _columns(self, rows):
+        if None in self.index:
+            return None
+        fields = list(zip(*rows))  # as long as the shortest row
+        if len(fields) <= max(self.index):
+            return None
+        country, sex, age, year, *values = (fields[i] for i in self.index)
+        for raw in dict.fromkeys(sex).keys() - self.sexes.keys():
+            code = raw.strip().lower()
+            if code not in SEXES:
+                return None
+            self.sexes[raw] = SEXES.index(code)
+        for raw in dict.fromkeys(country):
+            if raw not in self.codes:
+                self.codes[raw] = self.names.setdefault(raw.strip(),
+                                                        len(self.names))
+        n = len(rows)
+        age = np.fromiter(map(int, age), np.int64, n)
+        year = np.fromiter(map(int, year), np.int64, n)
+        values = [np.fromiter(map(float, v), float, n) for v in values]
+        if (age < 0).any() or not all(np.isfinite(v).all() and (v >= 0).all()
+                                      for v in values):
+            return None
+        return (np.fromiter(map(self.codes.__getitem__, country), np.int64, n),
+                np.fromiter(map(self.sexes.__getitem__, sex), np.int8, n),
+                age, year, *values)
+
+    def _rows(self, block, line, last):
+        parsed = []
+        for row in block:
+            # a row ends as many lines on as it holds line breaks, plus one
+            # (less at the end of a file that leaves a quote open)
+            line = min(last, line + 1 + sum(len(_LINE_BREAK.findall(f))
+                                            for f in row))
+            if not row:
+                continue
+            # the record csv.DictReader builds: absent fields are None
+            rec = dict(zip(self.header, row))
+            rec.update(dict.fromkeys(self.header[len(row):]))
+            try:
+                parsed.append(self._record(rec))
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise CsvFormatError(str(exc), line=line) from exc
+        return list(zip(*parsed))
+
+    def _record(self, rec):
+        sex = rec["sex"].strip().lower()
+        if sex not in SEXES:
+            raise ValueError(f"sex must be f or m, got {rec['sex']!r}")
+        country = rec["country"].strip()
+        age, year = int(rec["age"]), int(rec["year"])
+        if not 0 <= age < _INT64:
+            raise ValueError("age must be a non-negative integer")
+        if not -_INT64 <= year < _INT64:
+            raise ValueError("year out of range")
+        values = [float(rec[name]) for name in self.values]
+        for name, v in zip(self.values, values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {rec[name]!r}")
+        if any(v < 0 for v in values):
+            raise ValueError("mx must be non-negative" if len(values) == 1
+                             else "counts must be non-negative")
+        return (self.names.setdefault(country, len(self.names)),
+                SEXES.index(sex), age, year, *values)
+
+    def table(self):
+        columns = [np.concatenate(c) for c in zip(*self.blocks)]
+        n = columns[0].size
+        carried = dict(zip(self.values, columns[4:]))
+        return _reference_table(tuple(self.names), columns[:4] + [
+            carried[name] if name in carried else np.full(n, np.nan)
+            for name in _VALUES])

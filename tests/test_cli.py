@@ -420,3 +420,22 @@ def test_forecast_tier1_error_after_blank_line_names_its_line(
                "--tier1-e0", str(e0_csv), "--out", str(workdir / "no")])
     assert rc == 2
     assert "line 5:" in capsys.readouterr().err
+
+
+def test_forecast_tier2_without_a_complete_year_exits_3(model_json,
+                                                        split_csvs, workdir,
+                                                        capsys):
+    # it used to die with an IndexError (exit 1) in _tier2_from_csv
+    _, held = split_csvs
+    with open(held, newline="") as fh:
+        rows = list(csv.reader(fh))
+    female = workdir / "held_female.csv"
+    with open(female, "w", newline="") as fh:
+        csv.writer(fh).writerows(r for r in rows if r[1] != "m")
+    rc = main(["forecast", "--model", str(model_json),
+               "--tier2-schedule", str(female),
+               "--out", str(workdir / "no")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(female) in err
+    assert "complete schedule for both sexes" in err

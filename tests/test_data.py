@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mortflow import data
 from mortflow.data import (
     BLOCK_ROWS,
     QX_EPS,
@@ -27,7 +29,7 @@ from mortflow.errors import (
 )
 from mortflow.synth import SyntheticSpec, generate, write_csv
 
-from oracles import reference_pool
+from oracles import reference_pool, reference_read_csv
 
 
 def rows_for(country, year, mx_f, mx_m):
@@ -466,3 +468,271 @@ def test_csv_module_errors_carry_a_line(tmp_path):
     with pytest.raises(CsvFormatError, match="field larger") as err:
         read_csv(p)
     assert err.value.line == 3
+
+
+# ----------------------------------------------------------------------
+# The tokenizer path in front of the block and row parsers
+# ----------------------------------------------------------------------
+
+class BlockParserRan(Exception):
+    pass
+
+
+def _block_parser_ran(self, *args):
+    raise BlockParserRan
+
+
+def tokenizer_only(monkeypatch):
+    """read_csv fails with BlockParserRan unless the tokenizer reads the file."""
+    monkeypatch.setattr(data._BlockParser, "add", _block_parser_ran)
+
+
+def block_parser_only(monkeypatch):
+    monkeypatch.setattr(data, "_tokenized", lambda fh, parser: None)
+
+
+PATHS = {"tokenizer": tokenizer_only, "block parser": block_parser_only}
+
+
+def read_or_error(read, path):
+    """The table a reader gives, or its CsvFormatError's (line, message)."""
+    try:
+        return read(path)
+    except CsvFormatError as exc:
+        return exc.line, str(exc)
+
+
+def assert_same_read(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, RawTable), got
+    assert got.countries == want.countries
+    for name in ("country", "sex", "age", "year", "mx", "deaths", "exposure"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def csv_file(tmp_path, body, header="country,sex,age,year,mx\n"):
+    """A file holding exactly header + body, line ends as given."""
+    p = tmp_path / "body.csv"
+    p.write_bytes((header + body).encode("utf-8"))
+    return p
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_spaced_header_reads_like_the_unspaced_one(tmp_path, monkeypatch,
+                                                   path):
+    # the header check stripped the names, the field lookup did not: each
+    # row failed with "line 2: 'sex'"
+    body = "SWE,f,0,2000,0.004\nNOR,m,1,2001,0.005\n"
+    want = reference_read_csv(csv_file(tmp_path, body))
+    PATHS[path](monkeypatch)
+    got = read_csv(csv_file(tmp_path, body,
+                            header=" country, sex ,age,  year,mx \n"))
+    assert_same_read(got, want)
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_a_repeated_header_name_reads_its_last_field(tmp_path, monkeypatch,
+                                                     path):
+    PATHS[path](monkeypatch)
+    table = read_csv(csv_file(tmp_path, "A,f,0,2000,0.1,0.2\n",
+                              header="country,sex,age,year,mx, mx\n"))
+    assert table.mx.tolist() == [0.2]
+
+
+# forms Python's int() and float() accept, which the tokenizer must read
+# to the same value
+TOKENIZER_READS = {
+    "plus sign": "A,f,+5,+2000,+0.1\n",
+    "padded numerals": "A,f, 5 ,\t2000 ,  0.1 \n",
+    "quoted numerals": 'A,f,"5","2000","0.1"\n',
+    "doubled quotes": '"A ""x""",f,5,2000,0.1\n',
+    "line breaks in quotes": '"A\nx",f,5,2000,0.1\r\n"B\r\ny",m,5,2000,0.1\n',
+    "hash in a name": "A#1,f,5,2000,0.1\n#B,m,5,2000,0.1\n",
+    "negative zero": "A,f,5,2000,-0.0\n",
+    "long name, not truncated": "A" * 2000 + ",f,5,2000,0.1\n",
+}
+# forms the tokenizer must leave to the block parser: Python reads them,
+# or the csv module rejects them
+TOKENIZER_REJECTS = {
+    "digit separators": "A,f,1_000,2000,0.000_1\n",
+    "arabic-indic digits": "A,f,\u0661,2000,0.1\n",
+    "fullwidth digits": "A,f,\uff19,2000,0.1\n",
+    "a field past the csv field limit":
+        "A,f,5,2000,0.1" + "0" * 200_000 + "\n",
+    "a NUL, which Python 3.10's csv rejects": "A\0B,f,5,2000,0.1\n",
+    "information separators, which loadtxt strips from numerals":
+        "A,f,\x1c5,2000,0.1\x1f\n",
+}
+# forms numpy 2.4's loadtxt reads to the block parser's values under
+# usecols, though older ones may send them to the block parser
+EITHER_READS = {
+    "ragged rows": "A,f,0,2000,0.1\nB,m,1,2001,0.2,9\n",
+    "trailing commas": "A,f,0,2000,0.1,\nB,m,1,2001,0.2,\n",
+    "CR-only line ends": "A,f,0,2000,0.1\rB,m,1,2001,0.2\r",
+    "mixed line ends": "A,f,0,2000,0.1\r\nB,m,1,2001,0.2\rC,f,0,2000,0.3\n",
+}
+# forms both paths reject, with the row parser's line and message
+REJECTED = {
+    "nan": "A,f,5,2000,nan\n",
+    "infinity": "A,f,5,2000,inf\n",
+    "overflow to infinity": "A,f,5,2000,1e400\n",
+    "a whitespace-only line": "A,f,5,2000,0.1\n   \nB,f,5,2000,0.1\n",
+    "1.0 as an integer": "A,f,1.0,2000,0.1\n",
+    "1e2 as an integer": "A,f,1e2,2000,0.1\n",
+    "an age beyond int64": "A,f,9223372036854775808,2000,0.1\n",
+    "a year beyond int64": "A,f,5,-9223372036854775809,0.1\n",
+    "a multi-line name past the csv field limit":
+        '"' + "x\n" * 70_000 + '",f,5,2000,0.1\n',
+}
+PITFALLS = {**TOKENIZER_READS, **TOKENIZER_REJECTS, **EITHER_READS,
+            **REJECTED}
+
+
+@pytest.mark.parametrize("case", sorted(PITFALLS))
+def test_read_csv_matches_the_row_parser_on_every_pitfall(tmp_path, case):
+    p = csv_file(tmp_path, "B,m,0,1999,0.2\n" + PITFALLS[case])
+    want = read_or_error(reference_read_csv, p)
+    assert isinstance(want, tuple) or case not in REJECTED
+    assert_same_read(read_or_error(read_csv, p), want)
+
+
+@pytest.mark.parametrize("case", sorted(TOKENIZER_READS))
+def test_the_tokenizer_reads_pythons_value(tmp_path, monkeypatch, case):
+    p = csv_file(tmp_path, "B,m,0,1999,0.2\n" + TOKENIZER_READS[case])
+    want = reference_read_csv(p)
+    tokenizer_only(monkeypatch)
+    assert_same_read(read_csv(p), want)
+
+
+@pytest.mark.parametrize("case", sorted(TOKENIZER_REJECTS))
+def test_forms_the_tokenizer_rejects_go_to_the_block_parser(
+        tmp_path, monkeypatch, case):
+    p = csv_file(tmp_path, "B,m,0,1999,0.2\n" + TOKENIZER_REJECTS[case])
+    tables = []
+    tokenized = data._tokenized
+    monkeypatch.setattr(data, "_tokenized", lambda fh, parser: tables.append(
+        tokenized(fh, parser)))
+    read_or_error(read_csv, p)
+    assert tables == [None]
+
+
+def test_the_tokenizer_reads_the_world_csv_across_chunks(tmp_path,
+                                                         monkeypatch):
+    world = generate(SyntheticSpec(n_countries=4, n_ages=10, n_years=30,
+                                   stagger=3, seed=5))
+    path = tmp_path / "world.csv"
+    write_csv(world, path)
+    want = reference_read_csv(path)
+    tokenizer_only(monkeypatch)
+    monkeypatch.setattr(data, "TOKENIZER_ROWS", 97)
+    monkeypatch.setattr(data, "_BATCH_CHARS", 1000)
+    assert len(want) > 10 * 97
+    assert_same_read(read_csv(path), want)
+
+
+def test_an_empty_body_raises_no_data_rows(tmp_path):
+    p = csv_file(tmp_path, "\n\r\n")
+    with pytest.raises(CsvFormatError, match="no data rows") as err:
+        read_csv(p)
+    assert err.value.line == 1
+
+
+# CSV text: quoted and bare fields, commas, quotes and line breaks inside
+# names, blank lines, odd numerals, long names, non-finite and negative
+# values, ragged rows and every line end.  Fields are drawn by a seeded
+# random.Random, so that odd ones come at a set rate (none in half the
+# files) and many files read.
+def _name(rng):
+    if rng.random() < 0.05:
+        return "ab" * rng.randint(150, 300)
+    return "".join(rng.choice('SWEab ,"\n\r#\t\u00c5\u0661')
+                   for _ in range(rng.randint(1, 8)))
+
+
+def _value(rng):
+    return repr(rng.choice([rng.random(), rng.lognormvariate(-5, 4),
+                            float(rng.randint(0, 1000))]))
+
+
+WELL_FORMED = {
+    "name": [_name, "SWE", " NOR ", "\u00c5land", "A,B", 'say "hi"', "x\ny",
+             "x\r\ny", "#1"],
+    "sex": ["f", "m", "F", " m ", "M\t"],
+    "int": [lambda rng: str(rng.randint(0, 130)), "+5", " 7 ", "007", "-0",
+            "\t12"],
+    "value": [_value, "-0.0", " 2.5 ", "+.5e-3", "1.", "1e-400", "0",
+              "1E3"],
+}
+ODD = {
+    "name": ["", 'a"b', '"ab"c', ' "ab"', "\0"],
+    "sex": ["x", "", "fm"],
+    "int": ["-1", "1_0", "\u0661", "\uff19", "1.0", "1e2", "", " ",
+            "9223372036854775808", "-9223372036854775809", "\x1c5", "5\x1f"],
+    "value": [lambda rng: repr(-rng.random()), "1e400", "nan", "-inf",
+              "Infinity", "0.1_1", "", "\u0661.5", "0x10", "\x1e0.5"],
+}
+KIND = {"country": "name", "note": "name", "sex": "sex", "age": "int",
+        "year": "int", "mx": "value", "deaths": "value",
+        "exposure": "value"}
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def csv_texts(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    header = list(data._KEYS) + rng.choice([["mx"], ["deaths", "exposure"],
+                                            ["mx", "note"]])
+    rng.shuffle(header)
+    odd = rng.choice([0, 0, 0.01, 0.1])  # rate of odd fields and short rows
+    end = rng.choice(LINE_ENDS)
+    lines = [",".join(header) + end]
+    for _ in range(draw(st.integers(1, 12))):
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "  ", ","]) + end)
+            continue
+        fields = []
+        for name in header:
+            bad = rng.random() < odd
+            text = rng.choice((ODD if bad else WELL_FORMED)[KIND[name]])
+            text = text if isinstance(text, str) else text(rng)
+            if any(c in text for c in ',"\r\n') or rng.random() < 0.3:
+                if not (bad and rng.random() < 0.5):  # else left bare
+                    text = '"' + text.replace('"', '""') + '"'
+            fields.append(text)
+        if rng.random() < odd:
+            fields = fields[:rng.randrange(len(fields))]
+        elif rng.random() < 0.05:
+            fields.append("9")
+        if rng.random() < 0.1:
+            end = rng.choice(LINE_ENDS)
+        lines.append(",".join(fields) + end)
+    text = "".join(lines)
+    return text if rng.random() < 0.5 else text.rstrip("\r\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_texts(), chunk=st.sampled_from([1, 2, 3, 8192]),
+       batch=st.sampled_from([1, 7, 1 << 17]))
+def test_read_csv_gives_the_row_parsers_table_or_error(tmp_path_factory,
+                                                       text, chunk, batch):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    want = read_or_error(reference_read_csv, path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "TOKENIZER_ROWS", chunk)
+        mp.setattr(data, "_BATCH_CHARS", batch)
+        got = read_or_error(read_csv, path)
+    assert_same_read(got, want)
+
+
+def test_a_file_that_is_not_utf8_raises_unicode_error_on_both_paths(
+        tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"country,sex,age,year,mx\nA,f,0,2000,0.1\nB\xe9,f,0,2000,0.1\n")
+    for read in (reference_read_csv, read_csv):
+        with pytest.raises(UnicodeDecodeError):
+            read(p)

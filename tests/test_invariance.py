@@ -1,9 +1,10 @@
 """Whole-pipeline invariance properties on small generated worlds.
 
 Relabelling a panel must not change what the pipeline forecasts: years
-shifted by a constant give the same bits, and countries listed in
-another order (each keeping its name and data) give every country's e0
-within the golden gate's tolerance.
+shifted by a constant give the same bits, countries renamed in a way
+that keeps their sort order give the same bits through the CSV round
+trip, and countries listed in another order (each keeping its name and
+data) give every country's e0 within the golden gate's tolerance.
 """
 
 from dataclasses import replace
@@ -11,8 +12,10 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from mortflow.data import tensor_from_csv
+from mortflow.evaluation import CVConfig, run_inclusive_cv
 from mortflow.pipeline import FitConfig, fit_model
-from mortflow.synth import SyntheticSpec, generate
+from mortflow.synth import SyntheticSpec, generate, write_csv
 
 from test_golden import ATOL, RTOL
 
@@ -21,13 +24,17 @@ CONFIG = FitConfig(n_components=3)
 
 
 @st.composite
-def small_worlds(draw):
+def small_synthetic_worlds(draw):
     """A 3-5 country, 8-12 age, 30-40 year world from a drawn seed."""
     spec = SyntheticSpec(n_countries=draw(st.integers(3, 5)),
                          n_ages=draw(st.integers(8, 12)),
                          n_years=draw(st.integers(30, 40)), stagger=3,
                          seed=draw(st.integers(0, 2 ** 32 - 1)))
-    return generate(spec).tensor
+    return generate(spec)
+
+
+def small_worlds():
+    return small_synthetic_worlds().map(lambda world: world.tensor)
 
 
 def _forecasts(fitted, w):
@@ -67,3 +74,50 @@ def test_reordering_countries_keeps_every_e0(tensor, data):
         for country, a in want.items():
             np.testing.assert_allclose(got[country].e0_avg, a.e0_avg,
                                        rtol=RTOL, atol=ATOL)
+
+
+def _renamed(name):
+    # written quoted, with the inner quotes doubled; read back with the
+    # surrounding spaces stripped; sorts as the names it replaces, which
+    # all have one length
+    return f'  \u00c5se, "{name}" \u00fcber \u03a9  '
+
+
+@settings(max_examples=8, deadline=None)
+@given(world=small_synthetic_worlds(), w=st.sampled_from([0.0, 1.0]))
+def test_renaming_countries_in_their_order_gives_the_same_bits(
+        tmp_path_factory, world, w):
+    plain = tmp_path_factory.getbasetemp() / "plain.csv"
+    renamed = tmp_path_factory.getbasetemp() / "renamed.csv"
+    names = tuple(map(_renamed, world.tensor.countries))
+    write_csv(world, plain)
+    write_csv(replace(world, tensor=replace(world.tensor, countries=names)),
+              renamed)
+    base, other = tensor_from_csv(plain), tensor_from_csv(renamed)
+    assert other.countries == tuple(n.strip() for n in names)
+    assert '""' in renamed.read_text(encoding="utf-8")
+    assert other.values.tobytes() == base.values.tobytes()
+
+    fitted, refitted = fit_model(base, CONFIG), fit_model(other, CONFIG)
+    assert refitted.rates.to_dict() == fitted.rates.to_dict()
+    for a, b in zip(fitted.model.countries, refitted.model.countries):
+        want = fitted.forecast(a, horizon=HORIZON, w=w)
+        got = refitted.forecast(b, horizon=HORIZON, w=w)
+        for field in ("years", "scores", "schedules", "e0_by_sex", "e0_avg"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes()
+
+    config = CVConfig(n_components=3, horizon=10, origin_spacing=5, w=w)
+    records = run_inclusive_cv(base, config)
+    renamed_records = run_inclusive_cv(other, config)
+    assert len(records) == len(renamed_records) > 0
+    rename = dict(zip(base.countries, other.countries))
+    for want, got in zip(records, renamed_records):
+        assert got.country == rename[want.country]
+        assert (got.origin, got.horizon, got.excluded) == \
+            (want.origin, want.horizon, want.excluded)
+        assert (got.e0_hat, got.e0_obs, got.err) == \
+            (want.e0_hat, want.e0_obs, want.err)
+        assert got.log_mx_err.tobytes() == want.log_mx_err.tobytes()
+        assert got.lx_obs.tobytes() == want.lx_obs.tobytes()
+
