@@ -7,16 +7,17 @@ typed columns, pooling counts into temporal bins, converting central
 rates to probabilities, clamping and transforming, and laying out a
 dense year axis.
 
-A CSV body is parsed by the first of three parsers that accepts it:
-numpy's C tokenizer, then the block parser (csv.reader rows converted a
-block of columns at a time), then the row parser.  Each is a fast path
-that may only accept less than the next, never more or differently; the
+A CSV body is read by numpy's C tokenizer, and a file the tokenizer or
+its bulk checks reject is read again by the row parser (csv.reader
+rows, one record at a time).  The tokenizer is a fast path that may
+only accept less than the row parser, never more or differently; the
 row parser defines what is valid and names the line of the first error.
 """
 
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Optional
@@ -40,7 +41,7 @@ QX_EPS = 1e-7
 # default top of the age grid; observed ages above it are dropped
 MAX_AGES = 110
 
-# CSV rows parsed into columns at a time: bounds the transient row lists
+# CSV rows the row parser reads at a time: bounds the transient row lists
 BLOCK_ROWS = 4096
 # rows numpy's tokenizer reads at a time: bounds its transient object
 # columns; the lines it reads come _BATCH_CHARS characters at a time
@@ -395,14 +396,13 @@ def read_csv(path):
     exposure value is finite and non-negative.  Parse failures raise
     CsvFormatError carrying the 1-based line number.
 
-    The header is read by the csv module.  The body then goes through up
-    to three parsers, each only a faster way to the next one's result:
-    numpy's C tokenizer (in chunks of TOKENIZER_ROWS rows), the block
-    parser (csv.reader in blocks of BLOCK_ROWS rows) and the row parser.
-    The tokenizer path only accepts less: any exception, failed check or
-    empty body sends the whole file through the block parser, and a
-    block that fails a check goes through the row parser, which defines
-    what is valid and names the line of the first bad row.
+    The header is read by the csv module.  The body is read by numpy's C
+    tokenizer in chunks of TOKENIZER_ROWS rows, each put through the
+    bulk checks of _BlockParser.checked.  That path only accepts less:
+    any exception, warning, failed check or empty body sends the whole
+    file to the row parser (csv.reader in blocks of BLOCK_ROWS rows,
+    parsed one record at a time), which defines what is valid and names
+    the line of the first bad row.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -444,15 +444,13 @@ def read_csv(path):
 def _tokenized(fh, parser):
     """The rows after the header read by numpy's C tokenizer, or None.
 
-    Each chunk of TOKENIZER_ROWS rows goes through the block parser's
-    bulk checks and code maps, so a table returned here equals the one
-    the block parser would build.  None sends the file to the block
-    parser: the tokenizer raised or a check failed, the body holds no
+    Each chunk of TOKENIZER_ROWS rows goes through the bulk checks and
+    code maps of parser.checked, so a table returned here equals the one
+    the row parser would build.  None sends the file to the row parser:
+    the tokenizer raised or warned or a check failed, the body holds no
     row or a character in _UNTOKENIZABLE, or a row could hold a field
     longer than the csv module's field limit.
     """
-    import warnings  # already loaded by the interpreter at start-up
-
     lines = longest = 0
 
     def batches():
@@ -471,9 +469,16 @@ def _tokenized(fh, parser):
     rows = 0
     try:
         with warnings.catch_warnings():
-            # loadtxt warns of the empty read after a full last chunk, and
-            # of blank lines, which it skips as the block parser does
-            warnings.simplefilter("ignore", UserWarning)
+            # a warning is a form the tokenizer reads on its own terms
+            # (numpy 1.23-1.26 read "1.0" as the integer 1 with a
+            # DeprecationWarning), except the two that loadtxt gives for
+            # a blank line, which the row parser skips too, and for the
+            # empty read after a full last chunk
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no "
+                                    "data", UserWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no "
+                                    "data", UserWarning)
             while True:
                 chunk = np.loadtxt(body, dtype=dtype, comments=None,
                                    delimiter=",", quotechar='"',
@@ -493,7 +498,7 @@ def _tokenized(fh, parser):
                 if chunk.size < TOKENIZER_ROWS:
                     break
     except Exception:
-        # the block parser reads the file again and raises what is wrong
+        # the row parser reads the file again and raises what is wrong
         # with it, at its line
         return None
     # a row spans at most lines - rows + 1 lines, so no field is longer
@@ -504,12 +509,12 @@ def _tokenized(fh, parser):
 
 
 class _BlockParser:
-    """Turns blocks of csv rows into typed columns.
+    """Turns csv rows, or the tokenizer's columns, into typed columns.
 
-    A block is converted column by column.  If any check fails, the
-    block is parsed again row by row, which raises CsvFormatError at the
-    first bad row; the row parser is the definition of what is valid,
-    the column parser only a fast path that accepts less.
+    add parses a block of csv rows one record at a time and raises
+    CsvFormatError at the first bad row: the row parser is the
+    definition of what is valid.  checked is the tokenizer's bulk check
+    of a chunk of columns, a fast path that accepts less.
     """
 
     def __init__(self, header, values):
@@ -525,32 +530,14 @@ class _BlockParser:
 
     def add(self, block, first, last):
         """Parse the csv rows read on lines first+1 to last; skip blank rows."""
-        rows = block if all(block) else [r for r in block if r]
-        if not rows:
-            return
-        try:
-            columns = self._columns(rows)
-        except (ValueError, OverflowError):
-            columns = None
-        self.blocks.append(columns or self._rows(block, first, last))
-
-    def _columns(self, rows):
-        fields = list(zip(*rows))  # as long as the shortest row
-        if len(fields) <= max(self.index):
-            return None
-        country, sex, age, year, *values = (fields[i] for i in self.index)
-        n = len(rows)
-        return self.checked(country, sex,
-                            np.fromiter(map(int, age), np.int64, n),
-                            np.fromiter(map(int, year), np.int64, n),
-                            [np.fromiter(map(float, v), float, n)
-                             for v in values])
+        if any(block):
+            self.blocks.append(self._rows(block, first, last))
 
     def checked(self, country, sex, age, year, values):
-        """Typed columns of one block, or None if a bulk check fails.
+        """Typed columns of one chunk, or None if a bulk check fails.
 
         country and sex hold the raw fields, age, year and values the
-        parsed arrays.  Both the block and the tokenizer path end here.
+        parsed arrays.
         """
         for raw in dict.fromkeys(sex).keys() - self.sexes.keys():
             code = raw.strip().lower()

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -471,27 +472,27 @@ def test_csv_module_errors_carry_a_line(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The tokenizer path in front of the block and row parsers
+# The tokenizer path in front of the row parser
 # ----------------------------------------------------------------------
 
-class BlockParserRan(Exception):
+class RowParserRan(Exception):
     pass
 
 
-def _block_parser_ran(self, *args):
-    raise BlockParserRan
+def _row_parser_ran(self, *args):
+    raise RowParserRan
 
 
 def tokenizer_only(monkeypatch):
-    """read_csv fails with BlockParserRan unless the tokenizer reads the file."""
-    monkeypatch.setattr(data._BlockParser, "add", _block_parser_ran)
+    """read_csv fails with RowParserRan unless the tokenizer reads the file."""
+    monkeypatch.setattr(data._BlockParser, "add", _row_parser_ran)
 
 
-def block_parser_only(monkeypatch):
+def row_parser_only(monkeypatch):
     monkeypatch.setattr(data, "_tokenized", lambda fh, parser: None)
 
 
-PATHS = {"tokenizer": tokenizer_only, "block parser": block_parser_only}
+PATHS = {"tokenizer": tokenizer_only, "row parser": row_parser_only}
 
 
 def read_or_error(read, path):
@@ -554,8 +555,9 @@ TOKENIZER_READS = {
     "hash in a name": "A#1,f,5,2000,0.1\n#B,m,5,2000,0.1\n",
     "negative zero": "A,f,5,2000,-0.0\n",
     "long name, not truncated": "A" * 2000 + ",f,5,2000,0.1\n",
+    "blank lines": "A,f,5,2000,0.1\n\n\r\nB,m,5,2000,0.1\n\n",
 }
-# forms the tokenizer must leave to the block parser: Python reads them,
+# forms the tokenizer must leave to the row parser: Python reads them,
 # or the csv module rejects them
 TOKENIZER_REJECTS = {
     "digit separators": "A,f,1_000,2000,0.000_1\n",
@@ -567,8 +569,8 @@ TOKENIZER_REJECTS = {
     "information separators, which loadtxt strips from numerals":
         "A,f,\x1c5,2000,0.1\x1f\n",
 }
-# forms numpy 2.4's loadtxt reads to the block parser's values under
-# usecols, though older ones may send them to the block parser
+# forms numpy 2.4's loadtxt reads to the row parser's values under
+# usecols, though older ones may send them to the row parser
 EITHER_READS = {
     "ragged rows": "A,f,0,2000,0.1\nB,m,1,2001,0.2,9\n",
     "trailing commas": "A,f,0,2000,0.1,\nB,m,1,2001,0.2,\n",
@@ -609,7 +611,7 @@ def test_the_tokenizer_reads_pythons_value(tmp_path, monkeypatch, case):
 
 
 @pytest.mark.parametrize("case", sorted(TOKENIZER_REJECTS))
-def test_forms_the_tokenizer_rejects_go_to_the_block_parser(
+def test_forms_the_tokenizer_rejects_go_to_the_row_parser(
         tmp_path, monkeypatch, case):
     p = csv_file(tmp_path, "B,m,0,1999,0.2\n" + TOKENIZER_REJECTS[case])
     tables = []
@@ -632,6 +634,36 @@ def test_the_tokenizer_reads_the_world_csv_across_chunks(tmp_path,
     monkeypatch.setattr(data, "_BATCH_CHARS", 1000)
     assert len(want) > 10 * 97
     assert_same_read(read_csv(path), want)
+
+
+def test_a_body_of_whole_chunks_ends_on_an_empty_read(tmp_path,
+                                                      monkeypatch):
+    # loadtxt warns of the empty read after a full last chunk
+    p = csv_file(tmp_path, "A,f,0,2000,0.1\nB,m,1,2001,0.2\n")
+    want = reference_read_csv(p)
+    tokenizer_only(monkeypatch)
+    monkeypatch.setattr(data, "TOKENIZER_ROWS", 2)
+    assert_same_read(read_csv(p), want)
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, UserWarning])
+def test_a_warning_from_the_tokenizer_sends_the_file_to_the_row_parser(
+        tmp_path, monkeypatch, category):
+    # numpy 1.23-1.26 read "1.0" as the integer 1 and only warn
+    p = csv_file(tmp_path, "A,f,0,2000,0.1\n")
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("a form read on the tokenizer's own terms", category)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(data.np, "loadtxt", warning_loadtxt)
+    tables = []
+    tokenized = data._tokenized
+    monkeypatch.setattr(data, "_tokenized", lambda fh, parser: tables.append(
+        tokenized(fh, parser)))
+    assert_same_read(read_csv(p), reference_read_csv(p))
+    assert tables == [None]
 
 
 def test_an_empty_body_raises_no_data_rows(tmp_path):
