@@ -11,7 +11,7 @@ common path; the submodules expose every stage separately.
 from .artifact import load_model, model_from_dict, model_to_dict, save_model
 from .convergence import (RelaxationRates, compute_deviations, estimate_rates,
                           pooled_autocorr)
-from .data import (MortalityTensor, build_tensor, drop_country, tensor_from_csv,
+from .data import (MortalityTensor, drop_country, tensor_from_csv,
                    tensor_from_rows, truncate_tensor)
 from .errors import (ArtifactError, CalibrationMissingError, ConfigError,
                      CsvFormatError, DataError, DomainError,
@@ -53,7 +53,7 @@ __all__ = [
     "MetricReport", "MissingDataError", "MortalityTensor", "MortflowError",
     "PICalibration", "PRODUCTION_RANKS", "RankError", "RelaxationRates",
     "ShapeMismatchError", "SmoothFn", "SyntheticSpec", "SyntheticWorld",
-    "TailConfigError", "TuckerModel", "apply_intervals", "build_tensor",
+    "TailConfigError", "TuckerModel", "apply_intervals",
     "calibrate_pi", "candidate_origins", "compute_deviations", "country_state",
     "default_ranks", "derivative_correlations", "drop_country", "e0_by_sex",
     "effective_core", "entry_state", "era_lowess", "era_weights",

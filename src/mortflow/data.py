@@ -4,8 +4,8 @@ The pipeline consumes a 4-way tensor of logit death probabilities
 (sex x age x country x year) with a country-by-year observation mask.
 This module owns the way raw rows become that tensor: parsing them into
 typed columns, pooling counts into temporal bins, converting central
-rates to probabilities, clamping and transforming, and laying out a
-dense year axis.
+rates to clamped logit probabilities, and writing the pooled block
+straight into the tensor's country columns along a dense year axis.
 
 A CSV body is read by numpy's C tokenizer, and a file the tokenizer or
 its bulk checks reject is read again by the row parser (csv.reader
@@ -29,7 +29,6 @@ from .errors import (
     DataError,
     DegenerateExposureError,
     MissingDataError,
-    ShapeMismatchError,
 )
 from .lifetable import logit
 
@@ -123,6 +122,8 @@ class RawTable:
 
 
 def _check_series(r):
+    from operator import index
+
     if r.mx is None and (r.deaths is None or r.exposure is None):
         raise DataError(f"row {r} carries neither mx nor deaths/exposure")
     carried = [v for v in (r.mx, r.deaths, r.exposure) if v is not None]
@@ -132,6 +133,11 @@ def _check_series(r):
         raise DataError(f"negative count or rate in row {r}")
     if r.sex not in SEXES:
         raise DataError(f"sex must be f or m in row {r}")
+    for name in ("age", "year"):
+        try:
+            index(getattr(r, name))
+        except TypeError:
+            raise DataError(f"{name} must be an integer in row {r}") from None
     if r.age < 0:
         raise DataError(f"negative age in row {r}")
 
@@ -144,22 +150,6 @@ def _table(countries, columns):
                     np.asarray(age, dtype=np.int64),
                     np.asarray(year, dtype=np.int64),
                     *(np.asarray(v, dtype=float) for v in values))
-
-
-@dataclass
-class RateSchedule:
-    """Single-age rates for one country and one temporal bin.
-
-    Arrays are (2, A) with the female row first; missing cells are NaN.
-    ``years`` is the inclusive bin span.
-    """
-
-    country: str
-    ages: np.ndarray
-    mx: np.ndarray
-    qx: np.ndarray
-    logit_qx: np.ndarray
-    years: tuple
 
 
 @dataclass
@@ -228,9 +218,14 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
 
     Returns
     -------
-    dict mapping (country, year) -> RateSchedule
-        Multi-year bins replicate their pooled schedule at every year of
-        the bin, keeping the downstream year axis dense.
+    MortalityTensor
+        Countries are the sorted names that hold a pooled rate, and years
+        run densely from the first to the last year of the bins holding
+        one.  A multi-year bin writes its pooled schedule at every year
+        of its span; a later bin in the plan rewrites the years it
+        shares.  The mask is true where a schedule is finite for both
+        sexes at every age.  ``tensor_from_rows`` is another name for
+        this function.
 
     Notes
     -----
@@ -282,8 +277,6 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
 
     # the first failure in (bin, country) order raises, as a loop would
     cell_bin = cells // n_countries
-    cell_country = [table.countries[by_name[r]]
-                    for r in (cells % n_countries).tolist()]
     mixed = (have_counts & (mx_cnt > 0)).any(axis=(1, 2))
     degenerate = (have_counts & (exposure == 0)).any(axis=(1, 2))
     empty = np.setdiff1d(np.arange(len(spans)), cell_bin)
@@ -292,7 +285,8 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
         raise MissingDataError(f"bin {spans[empty[0]]} contains no observations")
     if bad.size:
         p = bad[0]
-        where = f"{cell_country[p]} bin {spans[cell_bin[p]]}"
+        country = table.countries[by_name[cells[p] % n_countries]]
+        where = f"{country} bin {spans[cell_bin[p]]}"
         if mixed[p]:
             raise DataError(
                 f"{where}: cell mixes mx and deaths/exposure rows")
@@ -304,54 +298,39 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
         mx = np.where(mx_cnt > 0, mx_sum / np.where(mx_cnt > 0, mx_cnt, 1.0),
                       mx)
     finite = np.isfinite(mx)
-    qx = np.where(finite, clamp_qx(mx_to_qx(mx)), np.nan)
     with np.errstate(invalid="ignore"):
-        lq = logit(qx)
+        lq = logit(np.where(finite, clamp_qx(mx_to_qx(mx)), np.nan))
+
+    # cells whose rates all overflowed to inf write nothing; an empty
+    # plan, or one whose cells all overflowed, leaves no tensor
+    kept = np.flatnonzero(finite.any(axis=(1, 2)))
+    if not kept.size:
+        raise MissingDataError("no schedules supplied")
+    names, column = np.unique(cells[kept] % n_countries, return_inverse=True)
+    bins = cell_bin[kept]
+    held = [spans[k] for k in np.unique(bins).tolist()]
+    first = int(min(span[0] for span in held))
+    last = int(max(span[1] for span in held))
+    values = np.full((2, n_ages, names.size, last - first + 1), np.nan)
+    mask = np.zeros((names.size, last - first + 1), dtype=bool)
+    block = lq[kept].transpose(1, 2, 0)
+    complete = np.isfinite(block).all(axis=(0, 1))
 
     # bin order, as a loop over the plan fills it: a later bin, or a
     # repeat of an earlier one, rewrites the years it shares
-    bin_cells = np.searchsorted(cell_bin, np.arange(len(spans) + 1))
-    kept = finite.any(axis=(1, 2))
-    schedules = {}
+    bounds = np.searchsorted(bins, np.arange(len(spans) + 1))
     for span in bin_plan:
         k = index[span]
-        for p in range(bin_cells[k], bin_cells[k + 1]):
-            if not kept[p]:
-                continue
-            sched = RateSchedule(country=cell_country[p], ages=ages,
-                                 mx=mx[p], qx=qx[p], logit_qx=lq[p],
-                                 years=(int(span[0]), int(span[1])))
-            for year in range(span[0], span[1] + 1):
-                schedules[(cell_country[p], year)] = sched
-    return schedules
-
-
-def build_tensor(schedules):
-    """Assemble keyed schedules into a MortalityTensor.
-
-    The year axis is densified to the full observed range; the mask is
-    true only where a schedule exists and is complete for both sexes.
-    Insertion order of the mapping does not matter.
-    """
-    if not schedules:
-        raise MissingDataError("no schedules supplied")
-    items = sorted(schedules.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-    ages = items[0][1].ages
-    for _, sched in items:
-        if not np.array_equal(sched.ages, ages):
-            raise ShapeMismatchError("schedules disagree on the age grid")
-    countries = tuple(sorted({c for (c, _), _ in items}))
-    all_years = [y for (_, y), _ in items]
-    years = np.arange(min(all_years), max(all_years) + 1)
-    values = np.full((2, ages.size, len(countries), years.size), np.nan)
-    mask = np.zeros((len(countries), years.size), dtype=bool)
-    for (country, year), sched in items:
-        c = countries.index(country)
-        t = year - int(years[0])
-        values[:, :, c, t] = sched.logit_qx
-        mask[c, t] = bool(np.isfinite(sched.logit_qx).all())
-    return MortalityTensor(values=values, mask=mask, countries=countries,
-                           years=years, ages=ages)
+        if bounds[k] == bounds[k + 1]:
+            continue
+        here = slice(bounds[k], bounds[k + 1])
+        span_years = slice(span[0] - first, span[1] - first + 1)
+        values[:, :, column[here], span_years] = block[:, :, here, None]
+        mask[column[here], span_years] = complete[here, None]
+    return MortalityTensor(
+        values=values, mask=mask,
+        countries=tuple(table.countries[by_name[r]] for r in names.tolist()),
+        years=np.arange(first, last + 1), ages=ages)
 
 
 def truncate_tensor(tensor, origin):
@@ -377,12 +356,11 @@ def drop_country(tensor, country):
                            ages=tensor.ages)
 
 
-def tensor_from_rows(rows, bin_plan=None, n_ages=None):
-    return build_tensor(pool_and_convert(rows, bin_plan=bin_plan, n_ages=n_ages))
+tensor_from_rows = pool_and_convert
 
 
 def tensor_from_csv(path, bin_plan=None, n_ages=None):
-    return tensor_from_rows(read_csv(path), bin_plan=bin_plan, n_ages=n_ages)
+    return pool_and_convert(read_csv(path), bin_plan=bin_plan, n_ages=n_ages)
 
 
 def read_csv(path):
@@ -406,7 +384,10 @@ def read_csv(path):
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise CsvFormatError(str(exc), line=1) from exc
         if header is None:
             raise CsvFormatError("empty file", line=1)
         cols = [c.strip() for c in header]

@@ -300,9 +300,9 @@ def reference_deviations(ff, series_by_country):
 def reference_pool(rows, bin_plan=None, n_ages=None):
     """Pooling by the row-by-row loop ``data.pool_and_convert`` replaced.
 
-    Rows are RawSeries.  Returns (country, year) -> (years, mx, qx,
-    logit_qx), in the order the loop fills it, and raises the same
-    errors, with the same messages, as the loop did.
+    Rows are RawSeries.  Returns (country, year) -> (2, n_ages) logit_qx,
+    in the order the loop fills it, and raises the same errors, with the
+    same messages, as the loop did.  reference_tensor lays it out.
     """
     from mortflow.errors import (DataError, DegenerateExposureError,
                                  MissingDataError)
@@ -378,10 +378,37 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
                           np.nan)
             with np.errstate(invalid="ignore"):
                 lq = logit(qx)
-            entry = ((int(span[0]), int(span[1])), mx, qx, lq)
             for year in range(span[0], span[1] + 1):
-                schedules[(country, year)] = entry
+                schedules[(country, year)] = lq
     return schedules
+
+
+def reference_tensor(schedules):
+    """The tensor ``data.build_tensor`` assembled from reference_pool's
+    schedules, before pooling wrote the tensor itself.
+
+    Countries are sorted, the year axis runs densely over the keyed
+    years, and the mask is true where a schedule is finite throughout.
+    """
+    from mortflow.data import MortalityTensor
+    from mortflow.errors import MissingDataError
+
+    if not schedules:
+        raise MissingDataError("no schedules supplied")
+    items = sorted(schedules.items(), key=lambda kv: kv[0])
+    n_ages = items[0][1].shape[1]
+    countries = tuple(sorted({c for (c, _), _ in items}))
+    all_years = [y for (_, y), _ in items]
+    years = np.arange(min(all_years), max(all_years) + 1)
+    values = np.full((2, n_ages, len(countries), years.size), np.nan)
+    mask = np.zeros((len(countries), years.size), dtype=bool)
+    for (country, year), lq in items:
+        c = countries.index(country)
+        t = year - int(years[0])
+        values[:, :, c, t] = lq
+        mask[c, t] = bool(np.isfinite(lq).all())
+    return MortalityTensor(values=values, mask=mask, countries=countries,
+                           years=years, ages=np.arange(n_ages))
 
 
 def reference_grid(tensor, grid_w, grid_tau, config):

@@ -124,6 +124,17 @@ def test_fit_malformed_csv_exits_2(workdir, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fit_header_field_over_the_csv_limit_exits_2_at_line_1(workdir,
+                                                              capsys):
+    bad = workdir / "long_header.csv"
+    bad.write_text("country,sex,age,year,mx," + "n" * 200_000
+                   + "\nX,f,0,2000,0.1,0\n")
+    rc = main(["fit", "--input", str(bad),
+               "--out", str(workdir / "never.json")])
+    assert rc == 2
+    assert "error: line 1: field larger" in capsys.readouterr().err
+
+
 def test_fit_missing_input_exits_2(workdir, capsys):
     rc = main(["fit", "--input", str(workdir / "nowhere.csv"),
                "--out", str(workdir / "never.json")])

@@ -12,7 +12,6 @@ from mortflow.data import (
     QX_EPS,
     RawSeries,
     RawTable,
-    build_tensor,
     mx_to_qx,
     pool_and_convert,
     qx_to_mx,
@@ -26,11 +25,11 @@ from mortflow.errors import (
     DataError,
     DegenerateExposureError,
     MissingDataError,
-    ShapeMismatchError,
 )
+from mortflow.lifetable import expit, logit
 from mortflow.synth import SyntheticSpec, generate, write_csv
 
-from oracles import reference_pool, reference_read_csv
+from oracles import reference_pool, reference_read_csv, reference_tensor
 
 
 def rows_for(country, year, mx_f, mx_m):
@@ -39,6 +38,11 @@ def rows_for(country, year, mx_f, mx_m):
         for age, mx in enumerate(mxs):
             out.append(RawSeries(country=country, sex=sex, age=age, year=year, mx=mx))
     return out
+
+
+def pooled_mx(tensor, c=0, t=0):
+    """The (2, A) central rates that one tensor cell's logit qx encodes."""
+    return qx_to_mx(expit(tensor.values[:, :, c, t]))
 
 
 # ----------------------------------------------------------------------
@@ -60,10 +64,9 @@ def test_pooled_logit_value():
         RawSeries(country="X", sex=s, age=a, year=2000, deaths=20.0, exposure=1000.0)
         for s in ("f", "m") for a in range(3)
     ]
-    schedules = pool_and_convert(rows)
-    sched = schedules[("X", 2000)]
+    tensor = pool_and_convert(rows)
     expected = math.log(0.02 / 0.99)
-    np.testing.assert_allclose(sched.logit_qx, expected, atol=1e-12)
+    np.testing.assert_allclose(tensor.values[:, :, 0, 0], expected, atol=1e-12)
     assert expected == pytest.approx(-3.901973, abs=1e-6)
 
 
@@ -73,9 +76,9 @@ def test_pooling_sums_deaths_and_exposure():
         RawSeries(country="X", sex="f", age=0, year=2000, deaths=10.0, exposure=500.0),
         RawSeries(country="X", sex="m", age=0, year=2000, deaths=30.0, exposure=1500.0),
     ]
-    sched = pool_and_convert(rows)[("X", 2000)]
-    assert sched.mx[0, 0] == pytest.approx(30.0 / 1500.0)
-    assert sched.mx[1, 0] == pytest.approx(0.02)
+    mx = pooled_mx(pool_and_convert(rows))
+    assert mx[0, 0] == pytest.approx(30.0 / 1500.0)
+    assert mx[1, 0] == pytest.approx(0.02)
 
 
 def test_zero_deaths_clamped():
@@ -83,9 +86,9 @@ def test_zero_deaths_clamped():
         RawSeries(country="X", sex=s, age=0, year=2000, deaths=0.0, exposure=1000.0)
         for s in ("f", "m")
     ]
-    sched = pool_and_convert(rows)[("X", 2000)]
+    tensor = pool_and_convert(rows)
     expected = math.log(QX_EPS / (1.0 - QX_EPS))
-    assert sched.logit_qx[0, 0] == pytest.approx(expected, abs=1e-12)
+    assert tensor.values[0, 0, 0, 0] == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(-16.118096, abs=1e-5)
 
 
@@ -94,8 +97,10 @@ def test_huge_rate_clamped_below_one():
         RawSeries(country="X", sex=s, age=0, year=2000, deaths=5000.0, exposure=100.0)
         for s in ("f", "m")
     ]
-    sched = pool_and_convert(rows)[("X", 2000)]
-    assert sched.qx[0, 0] == 1.0 - QX_EPS
+    tensor = pool_and_convert(rows)
+    assert tensor.values[0, 0, 0, 0] == logit(1.0 - QX_EPS)
+    assert expit(tensor.values[0, 0, 0, 0]) == pytest.approx(1.0 - QX_EPS,
+                                                             rel=0, abs=1e-15)
 
 
 def test_zero_exposure_raises():
@@ -112,13 +117,15 @@ def test_explicit_empty_bin_raises():
 
 def test_multi_year_bin_replicates_schedule():
     rows = rows_for("X", 2000, [0.010], [0.020]) + rows_for("X", 2001, [0.030], [0.040])
-    schedules = pool_and_convert(rows, bin_plan=[(2000, 2001)])
-    a, b = schedules[("X", 2000)], schedules[("X", 2001)]
-    np.testing.assert_array_equal(a.mx, b.mx)
+    tensor = pool_and_convert(rows, bin_plan=[(2000, 2001)])
+    np.testing.assert_array_equal(tensor.years, [2000, 2001])
+    np.testing.assert_array_equal(tensor.mask, [[True, True]])
+    a, b = tensor.values[..., 0, 0], tensor.values[..., 0, 1]
+    assert a.tobytes() == b.tobytes()
     # mx input pools by unweighted mean within the bin
-    assert a.mx[0, 0] == pytest.approx(0.020)
-    assert a.mx[1, 0] == pytest.approx(0.030)
-    assert a.years == (2000, 2001)
+    mx = pooled_mx(tensor)
+    assert mx[0, 0] == pytest.approx(0.020)
+    assert mx[1, 0] == pytest.approx(0.030)
 
 
 def test_deaths_input_pools_by_ratio_of_sums():
@@ -128,9 +135,9 @@ def test_deaths_input_pools_by_ratio_of_sums():
         RawSeries(country="X", sex="m", age=0, year=2000, deaths=5.0, exposure=100.0),
         RawSeries(country="X", sex="m", age=0, year=2001, deaths=5.0, exposure=900.0),
     ]
-    sched = pool_and_convert(rows, bin_plan=[(2000, 2001)])[("X", 2000)]
-    assert sched.mx[0, 0] == pytest.approx(10.0 / 1000.0)
-    assert sched.mx[1, 0] == pytest.approx(10.0 / 1000.0)
+    mx = pooled_mx(pool_and_convert(rows, bin_plan=[(2000, 2001)]))
+    assert mx[0, 0] == pytest.approx(10.0 / 1000.0)
+    assert mx[1, 0] == pytest.approx(10.0 / 1000.0)
 
 
 # ----------------------------------------------------------------------
@@ -159,13 +166,6 @@ def test_incomplete_schedule_masked_out():
     rows = [r for r in rows if not (r.year == 2001 and r.sex == "m" and r.age == 1)]
     tensor = tensor_from_rows(rows)
     np.testing.assert_array_equal(tensor.mask[0], [True, False])
-
-
-def test_mismatched_age_grids_raise():
-    s1 = pool_and_convert(rows_for("A", 2000, [0.01, 0.02], [0.02, 0.03]))
-    s2 = pool_and_convert(rows_for("B", 2000, [0.01], [0.02]))
-    with pytest.raises(ShapeMismatchError):
-        build_tensor({**s1, **s2})
 
 
 def test_row_order_does_not_matter():
@@ -287,17 +287,19 @@ def pooled_or_error(pool, rows, **kwargs):
         return type(exc), str(exc)
 
 
-def assert_same_pool(got, want):
+def reference_tensor_from_rows(rows, **kwargs):
+    return reference_tensor(reference_pool(rows, **kwargs))
+
+
+def assert_same_tensor(got, want):
     if isinstance(want, tuple):
         assert got == want
         return
-    assert list(got) == list(want)
-    for key, (years, mx, qx, lq) in want.items():
-        sched = got[key]
-        assert sched.country == key[0] and sched.years == years
-        np.testing.assert_array_equal(sched.ages, np.arange(mx.shape[1]))
-        for a, b in ((sched.mx, mx), (sched.qx, qx), (sched.logit_qx, lq)):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.countries == want.countries
+    for name in ("values", "mask", "years", "ages"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
 
 
 @st.composite
@@ -336,24 +338,39 @@ def pooling_cases(draw):
 @given(pooling_cases())
 def test_pooling_matches_row_loop_reference_bit_for_bit(case):
     # overlapping and multi-year bins, ages above n_ages, duplicate rows,
-    # shuffled order, mixed layouts: same schedules, same first error
+    # shuffled order, mixed layouts: the same tensor as the loop's
+    # schedules laid out, or the same first error
     rows, bin_plan, n_ages = case
-    want = pooled_or_error(reference_pool, rows, bin_plan=bin_plan,
-                           n_ages=n_ages)
+    want = pooled_or_error(reference_tensor_from_rows, rows,
+                           bin_plan=bin_plan, n_ages=n_ages)
     for given_rows in (rows, RawTable.from_rows(rows)):
         got = pooled_or_error(pool_and_convert, given_rows,
                               bin_plan=bin_plan, n_ages=n_ages)
-        assert_same_pool(got, want)
+        assert_same_tensor(got, want)
 
 
 def test_repeated_bin_rewrites_its_years_where_the_plan_repeats_it():
     rows = rows_for("X", 2000, [0.01], [0.02]) + rows_for("X", 2001, [0.03],
                                                           [0.04])
     plan = [(2001, 2001), (2000, 2001), (2001, 2001)]
-    schedules = pool_and_convert(rows, bin_plan=plan)
-    assert schedules[("X", 2000)].years == (2000, 2001)
-    assert schedules[("X", 2001)].years == (2001, 2001)
-    assert_same_pool(schedules, reference_pool(rows, bin_plan=plan))
+    tensor = pool_and_convert(rows, bin_plan=plan)
+    # 2000 keeps the (2000, 2001) bin, which holds only 2000's rows (2001's
+    # joined the first bin); the repeat of (2001, 2001) rewrites 2001
+    np.testing.assert_allclose(pooled_mx(tensor, t=0), [[0.01], [0.02]])
+    np.testing.assert_allclose(pooled_mx(tensor, t=1), [[0.03], [0.04]])
+    assert_same_tensor(tensor, reference_tensor_from_rows(rows,
+                                                          bin_plan=plan))
+
+
+def test_a_pool_that_leaves_no_rate_raises():
+    # an empty plan pools nothing; rates that overflow to inf keep no cell
+    rows = rows_for("X", 2000, [0.01], [0.02])
+    huge = rows_for("X", 2000, [1e308], [1e308]) * 2
+    for given, plan in ((rows, []), (huge, None)):
+        for pool in (pool_and_convert, reference_tensor_from_rows):
+            with pytest.raises(MissingDataError, match="no schedules"), \
+                    np.errstate(over="ignore"):
+                pool(given, bin_plan=plan)
 
 
 def test_csv_round_trip_reproduces_the_world_tensor(tmp_path):
@@ -460,6 +477,35 @@ def test_negative_ages_are_rejected(tmp_path):
     with pytest.raises(DataError, match="negative age"):
         pool_and_convert([RawSeries(country="X", sex="f", age=-1, year=2000,
                                     mx=0.1)])
+
+
+@pytest.mark.parametrize("field, value", [("age", 1.5), ("year", 2000.7),
+                                          ("age", 1.0), ("year", "2000")])
+def test_raw_series_rejects_a_non_integer_age_or_year(field, value):
+    # they used to be truncated: age 1.5 pooled as age 1
+    row = RawSeries(**{**dict(country="X", sex="f", age=1, year=2000),
+                       field: value}, mx=0.01)
+    with pytest.raises(DataError, match=f"{field} must be an integer") as err:
+        pool_and_convert([RawSeries(country="X", sex="f", age=0, year=2000,
+                                    mx=0.01), row])
+    assert str(row) in str(err.value)
+
+
+def test_a_country_with_no_complete_year_gets_an_all_false_mask_row(
+        tmp_path):
+    # Z's female rows are all in 2000 and its male rows in 2001: Z is a
+    # column of the tensor, observed in no year
+    p = tmp_path / "unobserved.csv"
+    p.write_text("country,sex,age,year,mx\n"
+                 "A,f,0,2000,0.01\nA,m,0,2000,0.02\n"
+                 "A,f,0,2001,0.01\nA,m,0,2001,0.02\n"
+                 "Z,f,0,2000,0.03\nZ,m,0,2001,0.04\n")
+    tensor = tensor_from_csv(p)
+    assert tensor.countries == ("A", "Z")
+    np.testing.assert_array_equal(tensor.mask, [[True, True],
+                                                [False, False]])
+    np.testing.assert_array_equal(np.isfinite(tensor.values[:, 0, 1]),
+                                  [[True, False], [False, True]])
 
 
 def test_csv_module_errors_carry_a_line(tmp_path):

@@ -4,20 +4,25 @@ Relabelling a panel must not change what the pipeline forecasts: years
 shifted by a constant give the same bits, countries renamed in a way
 that keeps their sort order give the same bits through the CSV round
 trip, and countries listed in another order (each keeping its name and
-data) give every country's e0 within the golden gate's tolerance.
+data) give every country's e0 within the golden gate's tolerance.  A
+country observed in no year, as ingest gives one whose rows never
+complete a both-sex year, leaves the other countries' e0 within that
+tolerance while the age mode is kept at full rank; a truncated age mode
+lets it move them (see the pinned case below).
 """
 
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mortflow.data import tensor_from_csv
 from mortflow.evaluation import CVConfig, run_inclusive_cv
-from mortflow.pipeline import FitConfig, fit_model
+from mortflow.pipeline import FitConfig, default_ranks, fit_model
 from mortflow.synth import SyntheticSpec, generate, write_csv
 
-from test_golden import ATOL, RTOL
+from test_golden import ATOL, RTOL, _load_regen
 
 HORIZON = 30
 CONFIG = FitConfig(n_components=3)
@@ -121,3 +126,51 @@ def test_renaming_countries_in_their_order_gives_the_same_bits(
         assert got.log_mx_err.tobytes() == want.log_mx_err.tobytes()
         assert got.lx_obs.tobytes() == want.lx_obs.tobytes()
 
+
+
+def _with_unobserved_country(tensor, source):
+    """The tensor plus a last country "ZZZ" observed in no year: it holds
+    one country's female rates and no male ones, so its mask is False."""
+    extra = np.full(tensor.values.shape[:2] + (1, tensor.years.size), np.nan)
+    extra[0, :, 0] = tensor.values[0, :, source]
+    return replace(tensor, values=np.concatenate([tensor.values, extra], axis=2),
+                   mask=np.vstack([tensor.mask, np.zeros(tensor.years.size,
+                                                         dtype=bool)]),
+                   countries=tensor.countries + ("ZZZ",))
+
+
+def _largest_e0_move(tensor, other, config, horizon):
+    base, moved = fit_model(tensor, config), fit_model(other, config)
+    assert moved.model.countries == other.countries
+    return max(float(np.max(np.abs(
+        moved.forecast(c, horizon=horizon, w=w).e0_avg
+        - base.forecast(c, horizon=horizon, w=w).e0_avg)))
+        for c in base.model.countries for w in (0.0, 1.0))
+
+
+@settings(max_examples=15, deadline=None)
+@given(tensor=small_worlds(), data=st.data())
+def test_an_unobserved_country_keeps_every_other_e0(tensor, data):
+    source = data.draw(st.integers(0, len(tensor.countries) - 1))
+    other = _with_unobserved_country(tensor, source)
+    # the age mode is full rank at these sizes
+    assert default_ranks(other.shape)[1] == other.shape[1]
+    base, moved = fit_model(tensor, CONFIG), fit_model(other, CONFIG)
+    assert moved.model.countries == other.countries
+    for w in (0.0, 1.0):
+        for country, a in _forecasts(base, w).items():
+            got = moved.forecast(country, horizon=HORIZON, w=w)
+            np.testing.assert_allclose(got.e0_avg, a.e0_avg, rtol=RTOL,
+                                       atol=ATOL)
+
+
+def test_an_unobserved_country_moves_e0_where_the_age_mode_truncates():
+    # the wide60 golden world, whose 60-age mode is cut to rank 42: the
+    # unobserved country's fill (each cell's mean over observed years)
+    # enters the age SVD and moves other countries' e0 by 2.4e-6 years,
+    # far past the golden tolerance (about 8e-9 years at e0 80)
+    tensor = generate(SyntheticSpec(**_load_regen().WIDE_SPEC)).tensor
+    other = _with_unobserved_country(tensor, 0)
+    assert default_ranks(other.shape)[1] == 42 < other.shape[1]
+    move = _largest_e0_move(tensor, other, FitConfig(), horizon=50)
+    assert move == pytest.approx(2.4e-6, rel=0.05)
