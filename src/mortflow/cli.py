@@ -90,10 +90,10 @@ def _print_fit_report(fitted):
 
 
 def cmd_fit(args):
-    tensor = tensor_from_csv(args.input)
     config = FitConfig(ranks=args.ranks, n_components=args.pcs,
                        tau=args.tau, window=args.window, seed=args.seed,
                        origin=args.origin)
+    tensor = tensor_from_csv(args.input)
     fitted = fit_model(tensor, config)
     save_model(fitted, args.out)
     print(f"fit {len(tensor.countries)} countries, "
@@ -173,7 +173,6 @@ def cmd_forecast(args):
 
 
 def cmd_cv(args):
-    tensor = tensor_from_csv(args.input)
     config = CVConfig(ranks=args.ranks, n_components=args.pcs,
                       tau=CVConfig.tau if args.tau is None else args.tau,
                       window=args.window,
@@ -181,6 +180,7 @@ def cmd_cv(args):
                       horizon=args.horizon, origin_spacing=args.spacing,
                       min_train=args.min_train, seed=args.seed,
                       jobs=args.jobs)
+    tensor = tensor_from_csv(args.input)
     grid = None
     if not args.skip_grid:
         grid = grid_search(tensor, args.grid_w, args.grid_tau, config)

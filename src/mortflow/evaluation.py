@@ -29,8 +29,8 @@ from .forecast import (
 )
 from .lifetable import e0_by_sex, expit, observed_e0, survivorship
 from .pca import scores as core_scores
-from .pipeline import (FitConfig, fit_basis, fit_model, fit_path_dynamics,
-                       fit_speed_dynamics)
+from .pipeline import (FitConfig, check_settings, fit_basis, fit_model,
+                       fit_path_dynamics, fit_speed_dynamics)
 from .smoothing import lowess
 from .tucker import project_schedule, reconstruct_schedule
 
@@ -114,6 +114,7 @@ class CVConfig:
             raise CVConfigError(f"blend weight {self.w} outside [0, 1]")
         if self.truth not in ("raw", "tucker"):
             raise CVConfigError(f"unknown truth source {self.truth!r}")
+        check_settings(self, ("tau", "window"), CVConfigError)
 
     def fit_config(self, origin):
         shared = {f.name: getattr(self, f.name) for f in fields(FitConfig)
@@ -167,10 +168,10 @@ def entry_state(fitted, tensor, c, t_origin):
 
 
 def _schedule_errors(pred_logit, obs_logit):
-    """Per-cell log-mx errors, observed survivorship, exclusion count.
+    """Per-cell log-mx errors, observed survivorship, exclusion counts.
 
-    Cells where either mx underflows to zero cannot take a log; they
-    are NaN in the error array and counted as excluded.
+    Cells where either mx underflows to zero cannot take a log; they are
+    NaN in the error array and counted, per (S, A) schedule, as excluded.
     """
     qx_obs = expit(np.asarray(obs_logit, dtype=float))
     qx_hat = expit(np.asarray(pred_logit, dtype=float))
@@ -181,7 +182,7 @@ def _schedule_errors(pred_logit, obs_logit):
     eps = np.full(qx_obs.shape, np.nan)
     eps[valid] = np.log(mx_hat[valid]) - np.log(mx_obs[valid])
     lx = survivorship(qx_obs)[..., :-1]
-    return eps, lx, int(np.count_nonzero(~valid))
+    return eps, lx, np.count_nonzero(~valid, axis=(-2, -1))
 
 
 def _tucker_e0(model, obs_schedule):
@@ -190,29 +191,38 @@ def _tucker_e0(model, obs_schedule):
     return float(e0_by_sex(rep).mean())
 
 
+def _kept_errors(model, result, tensor, observed, c, t_origin, config):
+    """(h, e0_hat, e0_obs, err) of one forecast's observed horizons.
+
+    A non-finite error raises DataError.
+    """
+    h = np.flatnonzero(
+        tensor.mask[c, t_origin + 1:t_origin + config.horizon + 1]) + 1
+    e0_hat = result.e0_avg[h - 1]
+    e0_obs = (np.array([_tucker_e0(model, tensor.values[:, :, c, t])
+                        for t in t_origin + h])
+              if config.truth == "tucker" else observed[c, t_origin + h])
+    err = e0_hat - e0_obs
+    bad = np.flatnonzero(~np.isfinite(err))
+    if bad.size:
+        raise DataError(f"non-finite error for {tensor.countries[c]} at "
+                        f"origin {int(tensor.years[t_origin])}, horizon "
+                        f"{h[bad[0]]}")
+    return h, e0_hat, e0_obs, err
+
+
 def _records_from_result(model, result, tensor, observed, c, t_origin,
                          config):
     """Records of one forecast; ``observed`` is observed_e0 of the tensor."""
-    records = []
-    origin_year = int(tensor.years[t_origin])
-    for h in range(1, config.horizon + 1):
-        t = t_origin + h
-        if t >= tensor.years.size or not tensor.mask[c, t]:
-            continue
-        obs = tensor.values[:, :, c, t]
-        e0_hat = float(result.e0_avg[h - 1])
-        e0_obs = (_tucker_e0(model, obs) if config.truth == "tucker"
-                  else float(observed[c, t]))
-        rec = CVRecord(country=tensor.countries[c], origin=origin_year,
-                       horizon=h, e0_hat=e0_hat, e0_obs=e0_obs,
-                       err=e0_hat - e0_obs)
-        if config.schedules:
-            eps, lx, excluded = _schedule_errors(result.schedules[h - 1], obs)
-            rec.log_mx_err = eps
-            rec.lx_obs = lx
-            rec.excluded = excluded
-        records.append(rec)
-    return records
+    h, e0_hat, e0_obs, err = _kept_errors(model, result, tensor, observed,
+                                          c, t_origin, config)
+    columns = [h.tolist(), e0_hat.tolist(), e0_obs.tolist(), err.tolist()]
+    if config.schedules and h.size:
+        obs = np.moveaxis(tensor.values[:, :, c, t_origin + h], -1, 0)
+        eps, lx, excluded = _schedule_errors(result.schedules[h - 1], obs)
+        columns += [eps, lx, excluded.tolist()]
+    country, origin = tensor.countries[c], int(tensor.years[t_origin])
+    return [CVRecord(country, origin, *row) for row in zip(*columns)]
 
 
 def _country_records(tensor, country, config, observed, on_fit=None):
@@ -300,12 +310,14 @@ def _origin_plan(tensor, config):
     return {year: by_year[year] for year in sorted(by_year)}
 
 
-def _inclusive_records(tensor, config, grid_w, grid_tau):
-    """Inclusive-flow records of each (w, tau) cell, in origin-plan order.
+def _inclusive_records(tensor, config, grid_w, grid_tau, build):
+    """Inclusive-flow forecasts of each (w, tau) cell, in origin-plan order.
 
     Per origin year: one basis fit, one state per entry read off its
     score grid, one fit of the era-free dynamics, and per tau one speed
-    fit and one engine run over every (w, entry).
+    fit and one engine run over every (w, entry).  A cell pools
+    ``build(model, result, tensor, observed, c, t0, config)`` over its
+    forecasts: their records, or their errors.
     """
     plan = _origin_plan(tensor, config)
     observed = observed_e0(tensor.values, tensor.mask)
@@ -329,8 +341,8 @@ def _inclusive_records(tensor, config, grid_w, grid_tau):
                 cell = cells[(float(w), float(tau))]
                 chunk = results[i * len(states):(i + 1) * len(states)]
                 for (c, t0), result in zip(entries, chunk):
-                    cell.extend(_records_from_result(
-                        basis.model, result, tensor, observed, c, t0, config))
+                    cell.extend(build(basis.model, result, tensor, observed,
+                                      c, t0, config))
     return cells
 
 
@@ -345,7 +357,8 @@ def run_inclusive_cv(tensor, config=None):
     """
     config = config or CVConfig()
     (records,) = _inclusive_records(tensor, config, (config.w,),
-                                    (config.tau,)).values()
+                                    (config.tau,),
+                                    _records_from_result).values()
     records.sort(key=lambda r: (r.country, r.origin, r.horizon))
     return records
 
@@ -361,7 +374,7 @@ class GridResult:
 def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
     """Pooled-MAE search over blend weights and era time scales.
 
-    Each cell's MAE is taken over the inclusive-CV records of that
+    Each cell's MAE is taken over the inclusive-CV errors of that
     (w, tau), against raw e0, in origin-plan order: one basis fit and one
     era-free dynamics fit per origin year, one speed fit per
     (origin, tau), and every candidate
@@ -375,13 +388,14 @@ def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
             if v in values[:i]:
                 raise DataError(f"grid {name} value {v!r} is repeated")
     config = replace(config or CVConfig(), schedules=False, truth="raw")
-    cells = _inclusive_records(tensor, config, grid_w, grid_tau)
+    cells = _inclusive_records(tensor, config, grid_w, grid_tau,
+                               lambda *forecast: _kept_errors(*forecast)[3])
     table = []
     for w in grid_w:
         for tau in grid_tau:
-            errs = [abs(r.err) for r in cells[(float(w), float(tau))]]
+            errs = np.abs(cells[(float(w), float(tau))])
             table.append({"w": float(w), "tau": float(tau),
-                          "mae": float(np.mean(errs)), "n": len(errs)})
+                          "mae": float(np.mean(errs)), "n": errs.size})
     best = min(table, key=lambda row: (row["mae"], row["tau"], row["w"]))
     return GridResult(best=dict(best), table=table)
 

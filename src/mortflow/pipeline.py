@@ -48,6 +48,16 @@ def default_ranks(shape):
     return tuple(min(r, c) for r, c in zip(PRODUCTION_RANKS, _mode_caps(shape)))
 
 
+def check_settings(config, positive, error):
+    """Raise ``error`` unless seed >= 0 and the ``positive`` are > 0."""
+    for name in positive:
+        value = getattr(config, name)
+        if not 0.0 < value < np.inf:
+            raise error(f"{name} must be positive and finite, not {value}")
+    if config.seed < 0:
+        raise error(f"seed must be non-negative, not {config.seed}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     """Everything fit_model needs beyond the tensor itself.
@@ -81,6 +91,8 @@ class FitConfig:
             object.__setattr__(self, f.name, value)
         if self.n_components < 1:
             raise ConfigError("n_components must be at least 1")
+        check_settings(self, ("tau", "window", "bandwidth", "tail_delta",
+                              "tail_blend", "max_lag"), ConfigError)
 
     def to_dict(self):
         d = asdict(self)

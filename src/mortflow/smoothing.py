@@ -103,35 +103,136 @@ def smoothstep(t):
     return out if out.ndim else float(out)
 
 
-def _fit_knots(xc, yv, h):
+def _fit_knots(xc, ys, h):
     """Degree-1 tricube fits, one per row, evaluated at xc = 0.
 
-    ``xc`` holds each knot's points as offsets from it (knots x m); ``yv``
-    is an array of that shape or a length-m array shared by every row;
-    ``h`` is the radius per row.  A row whose weighted design is
-    degenerate gets the weighted mean, and a row with no positive weight
-    ("dead") the mean of its points within h.  Returns the values and
-    the dead-row mask.
+    ``xc`` holds each knot's points as offsets from it (knots x m); each
+    of ``ys`` is a response, an array of that shape or a length-m array
+    shared by every row; ``h`` is the radius per row.  A row whose
+    weighted design is degenerate gets the weighted mean, and a row with
+    no positive weight ("dead") the mean of its points within h.
+    Returns the (responses, knots) values and the dead-row mask.
     """
-    yv = np.broadcast_to(yv, xc.shape)
     h = h[:, None]
     w = (1.0 - np.minimum(np.abs(xc) / h, 1.0) ** 3) ** 3
     wx = w * xc
     s0 = w.sum(axis=1)
     s1 = wx.sum(axis=1)
     s2 = np.einsum("ij,ij->i", wx, xc)
-    t0 = np.einsum("ij,ij->i", w, yv)
-    t1 = np.einsum("ij,ij->i", wx, yv)
     denom = s0 * s2 - s1 * s1
     ok = denom > 1e-12 * np.maximum(s0 * s2, 1e-300)
-    value = np.where(ok, (s2 * t0 - s1 * t1) / np.where(ok, denom, 1.0),
-                     t0 / np.where(s0 > 0, s0, 1.0))
+    denom, mean_of = np.where(ok, denom, 1.0), np.where(s0 > 0, s0, 1.0)
     dead = s0 <= 0
-    if np.any(dead):
-        near = np.abs(xc[dead]) <= h[dead]
-        value[dead] = ((near * yv[dead]).sum(axis=1)
-                       / np.maximum(near.sum(axis=1), 1))
-    return value, dead
+    near = np.abs(xc[dead]) <= h[dead] if dead.any() else None
+    values = np.empty((len(ys), xc.shape[0]))
+    for value, yv in zip(values, ys):
+        yv = np.broadcast_to(yv, xc.shape)
+        t0 = np.einsum("ij,ij->i", w, yv)
+        t1 = np.einsum("ij,ij->i", wx, yv)
+        value[:] = np.where(ok, (s2 * t0 - s1 * t1) / denom, t0 / mean_of)
+        if near is not None:
+            value[dead] = ((near * yv[dead]).sum(axis=1)
+                           / np.maximum(near.sum(axis=1), 1))
+    return values, dead
+
+
+def _windows(x, y, bandwidth, max_knots):
+    """Validate one fit, sort it, and find every knot's window.
+
+    Returns span and (x, y, xs, ys, knots, start, h, floored): x and the
+    (k, n) y as given and sorted by x, and knot j's window
+    xs[start[j]:start[j] + span], radius h and whether h was floored.
+    """
+    if not np.isfinite(bandwidth):
+        raise ConfigError(f"bandwidth {bandwidth} must be finite")
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if y.shape[1:] != x.shape:
+        raise DataError("x and y must have equal length")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("x and y must be finite")
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    xu = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    if xu.size < 2:
+        raise DataError("need at least two distinct x values")
+    knots = (np.unique(np.quantile(xs, np.linspace(0.0, 1.0, max_knots)))
+             if xu.size > max_knots else xu)
+    span = min(max(int(np.ceil(bandwidth * n)), 2), n)
+    h_floor = 1e-12 * max(xu[-1] - xu[0], 1.0)
+
+    # The nearest run of a knot starts at the first i whose right end
+    # xs[i + span - 1] is at least as far from the knot as its left end
+    # xs[i], or one point before.  That test is monotone in i, as is
+    # xs[i] + xs[i + span - 1] >= 2 * knot, which one search settles; the
+    # sum rounds differently at near-ties, so the start then steps to
+    # where the test itself first holds (with xs padded by -inf and inf,
+    # it fails at i = -1 and holds at i = n - span + 1).
+    last = n - span
+    pad = np.concatenate(([-np.inf], xs, [np.inf]))
+    low = np.searchsorted(xs[:last + 1] + xs[span - 1:], 2.0 * knots)
+    while True:
+        up = pad[low + span] - knots < knots - pad[low + 1]
+        down = pad[low + span - 1] - knots >= knots - pad[low]
+        if not (up.any() or down.any()):
+            break
+        low += up
+        low -= down
+    starts = (np.maximum(low - 1, 0), np.minimum(low, last))
+    reach = [np.maximum(knots - xs[i], xs[i + span - 1] - knots)
+             for i in starts]
+    start = np.where(reach[0] <= reach[1], *starts)
+    h_raw = np.minimum(*reach)
+    return span, (x, y, xs, y[:, order], knots, start,
+                  np.maximum(h_raw, h_floor), h_raw < h_floor)
+
+
+def _lowess_fits(cases, max_knots):
+    """Knots and (k, knots) values of each (x, y, bandwidth) case.
+
+    Cases of equal span and response count are reduced together, in
+    chunks of about WINDOW_CELLS cells; each row still reduces over its
+    own window alone, so a case gets the bits it gets alone.
+    """
+    out, groups = [], {}
+    for case in cases:
+        span, fit = _windows(*case, max_knots)
+        values = np.empty((len(fit[1]), fit[4].size))  # (k, knots)
+        out.append((fit[4], values))
+        groups.setdefault((span, len(values)), []).append((*fit, values))
+    for (span, _), part in groups.items():
+        x, y, xs, ys, knots, start, h, floored, values = zip(*part)
+        firsts, bounds = [0], [0]
+        for a, k in zip(xs, knots):
+            firsts.append(firsts[-1] + a.size)
+            bounds.append(bounds[-1] + k.size)
+        all_xs, all_ys, all_knots, all_h, all_start = (
+            a[0] if len(a) == 1 else np.concatenate(a, axis=-1)
+            for a in (xs, ys, knots, h,
+                      [s + o for s, o in zip(start, firsts)]))
+        dead = np.zeros(all_knots.size, dtype=bool)
+        fitted = np.empty((len(all_ys), all_knots.size))
+        chunk = max(1, WINDOW_CELLS // span)
+        offsets = np.arange(span)
+        for lo in range(0, all_knots.size, chunk):
+            rows = slice(lo, lo + chunk)
+            idx = all_start[rows, None] + offsets
+            fitted[:, rows], dead[rows] = _fit_knots(
+                all_xs[idx] - all_knots[rows, None], [v[idx] for v in all_ys],
+                all_h[rows])
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            values[i][:] = fitted[:, lo:hi]
+            # rare knots need all n points: a floored radius can reach
+            # past the window, and a dead window's mean takes every point
+            # within h, ties outside the window included
+            redo = np.flatnonzero(floored[i] | dead[lo:hi])
+            chunk = max(1, WINDOW_CELLS // x[i].size)
+            for r in range(0, redo.size, chunk):
+                rows = redo[r:r + chunk]
+                values[i][:, rows], _ = _fit_knots(
+                    x[i] - knots[i][rows, None], y[i], h[i][rows])
+    return out
 
 
 def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
@@ -140,90 +241,39 @@ def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
     Parameters
     ----------
     x, y : array_like
-        Observations.  ``x`` needs at least two distinct values.
+        Finite observations.  ``x`` needs at least two distinct values.
+        A 2-D ``y`` of shape (k, n) holds k responses on the same x.
     bandwidth : float
-        Fraction of points in each local window.
+        Fraction of points in each local window; finite (ConfigError).
     max_knots : int
         Evaluation grid cap.  Above it the grid is quantile-spaced.
 
     Returns
     -------
-    SmoothFn
+    SmoothFn, or for a 2-D ``y`` a list of k SmoothFn, one per row.
 
     Notes
     -----
     Degree-1 local fits, zero robustness iterations.  The window of a
     knot is the contiguous run of ``span = ceil(bandwidth * n)`` points
-    in sorted x that lies nearest to it (Cleveland 1979), and its radius
-    h is the distance to the farthest of them, floored at
+    (at least 2) in sorted x that lies nearest to it (Cleveland 1979),
+    and its radius h is the distance to the farthest of them, floored at
     ``1e-12 * max(range of x, 1)``.  Points at distance exactly h,
     boundary ties included, get zero kernel weight.  A window whose
     weighted design is degenerate falls back to the weighted local mean,
     and a window whose points all sit at distance h (so no weight is
     positive) to the unweighted mean of every point within distance h.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise DataError("x and y must have equal length")
-    n = x.size
-    xu = np.unique(x)
-    if xu.size < 2:
-        raise DataError("need at least two distinct x values")
+    ((knots, values),) = _lowess_fits([(x, y, bandwidth)], max_knots)
+    fns = [SmoothFn(knots=knots, values=row) for row in values]
+    return fns if np.ndim(y) == 2 else fns[0]
 
-    if xu.size > max_knots:
-        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, max_knots)))
-    else:
-        knots = xu
 
-    span = int(np.ceil(bandwidth * n))
-    span = min(max(span, 2), n)
-    scale = xu[-1] - xu[0]
-    h_floor = 1e-12 * max(scale, 1.0)
-
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-
-    # The nearest run of a knot starts at the first i whose right end
-    # xs[i + span - 1] is at least as far from the knot as its left end
-    # xs[i], or one point before.  Bisect on the distances themselves:
-    # testing xs[i] + xs[i + span - 1] >= 2 * knot instead rounds
-    # differently at near-ties and can pick a run one point too wide.
-    last = n - span
-    low = np.zeros(knots.size, dtype=np.intp)
-    high = np.full(knots.size, last + 1)
-    while np.any(low < high):
-        mid = np.minimum((low + high) // 2, last)
-        right_far = xs[mid + span - 1] - knots >= knots - xs[mid]
-        active = low < high
-        high = np.where(active & right_far, mid, high)
-        low = np.where(active & ~right_far, mid + 1, low)
-    starts = np.stack([np.clip(low - 1, 0, last), np.minimum(low, last)])
-    reach = np.maximum(knots - xs[starts], xs[starts + span - 1] - knots)
-    start = np.where(reach[0] <= reach[1], starts[0], starts[1])
-    h_raw = reach.min(axis=0)
-    h = np.maximum(h_raw, h_floor)
-
-    fitted = np.empty(knots.size)
-    dead = np.zeros(knots.size, dtype=bool)
-    chunk = max(1, WINDOW_CELLS // span)
-    offsets = np.arange(span)
-    for lo in range(0, knots.size, chunk):
-        rows = slice(lo, lo + chunk)
-        idx = start[rows, None] + offsets
-        fitted[rows], dead[rows] = _fit_knots(
-            xs[idx] - knots[rows, None], ys[idx], h[rows])
-
-    # A floored radius can reach past the window, and the dead-window
-    # mean takes every point within h, ties outside the window included;
-    # both are rare, so those knots are refitted against all n points.
-    redo = np.flatnonzero(dead | (h_raw < h_floor))
-    chunk = max(1, WINDOW_CELLS // n)
-    for lo in range(0, redo.size, chunk):
-        rows = redo[lo:lo + chunk]
-        fitted[rows], _ = _fit_knots(x - knots[rows, None], y, h[rows])
-
-    return SmoothFn(knots=knots, values=fitted)
+def lowess_each(xs, ys, bandwidths, max_knots=MAX_KNOTS):
+    """``[lowess(x, y, b) for x, y, b in zip(xs, ys, bandwidths)]`` bit for
+    bit, with the knots of fits of equal span reduced together."""
+    return [SmoothFn(knots=knots, values=values[0]) for knots, values
+            in _lowess_fits(list(zip(xs, ys, bandwidths)), max_knots)]
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +379,7 @@ class ExtendedFn:
         # and t * t erases the one place they differ, the sign of a zero
         t = np.minimum(np.maximum((self.transition - s) / self.blend_width,
                                   0.0), 1.0)
-        w = smoothstep(t)
+        w = t * t * (3.0 - 2.0 * t)
         out = (1.0 - w) * self.base(s) + w * line
         return out if out.ndim else float(out)
 

@@ -223,6 +223,109 @@ def reference_lowess(x, y, bandwidth, max_knots=1000):
     return knots, np.array(values), np.array(sensitivity)
 
 
+def _windowed_fit(xc, yv, h):
+    """Degree-1 tricube fits, one per row, evaluated at xc = 0.
+
+    ``xc`` holds each knot's points as offsets from it (knots x m); ``yv``
+    is an array of that shape or a length-m array shared by every row;
+    ``h`` is the radius per row.  A row whose weighted design is
+    degenerate gets the weighted mean, and a row with no positive weight
+    ("dead") the mean of its points within h.  Returns the values and
+    the dead-row mask.
+    """
+    yv = np.broadcast_to(yv, xc.shape)
+    h = h[:, None]
+    w = (1.0 - np.minimum(np.abs(xc) / h, 1.0) ** 3) ** 3
+    wx = w * xc
+    s0 = w.sum(axis=1)
+    s1 = wx.sum(axis=1)
+    s2 = np.einsum("ij,ij->i", wx, xc)
+    t0 = np.einsum("ij,ij->i", w, yv)
+    t1 = np.einsum("ij,ij->i", wx, yv)
+    denom = s0 * s2 - s1 * s1
+    ok = denom > 1e-12 * np.maximum(s0 * s2, 1e-300)
+    value = np.where(ok, (s2 * t0 - s1 * t1) / np.where(ok, denom, 1.0),
+                     t0 / np.where(s0 > 0, s0, 1.0))
+    dead = s0 <= 0
+    if np.any(dead):
+        near = np.abs(xc[dead]) <= h[dead]
+        value[dead] = ((near * yv[dead]).sum(axis=1)
+                       / np.maximum(near.sum(axis=1), 1))
+    return value, dead
+
+
+def windowed_lowess(x, y, bandwidth=0.20, max_knots=1000):
+    """(knots, values) of ``mortflow.smoothing.lowess`` by its former kernel.
+
+    Two sorts (np.unique for the knots, a stable argsort for the
+    windows), a bisection per knot for the start of its nearest run of
+    span points, and a chunked degree-1 tricube fit per knot.  The
+    current kernel must match it bit for bit.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError("x and y must have equal length")
+    n = x.size
+    xu = np.unique(x)
+    if xu.size < 2:
+        raise ValueError("need at least two distinct x values")
+
+    if xu.size > max_knots:
+        knots = np.unique(np.quantile(x, np.linspace(0.0, 1.0, max_knots)))
+    else:
+        knots = xu
+
+    span = int(np.ceil(bandwidth * n))
+    span = min(max(span, 2), n)
+    scale = xu[-1] - xu[0]
+    h_floor = 1e-12 * max(scale, 1.0)
+
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+
+    # The nearest run of a knot starts at the first i whose right end
+    # xs[i + span - 1] is at least as far from the knot as its left end
+    # xs[i], or one point before.  Bisect on the distances themselves:
+    # testing xs[i] + xs[i + span - 1] >= 2 * knot instead rounds
+    # differently at near-ties and can pick a run one point too wide.
+    last = n - span
+    low = np.zeros(knots.size, dtype=np.intp)
+    high = np.full(knots.size, last + 1)
+    while np.any(low < high):
+        mid = np.minimum((low + high) // 2, last)
+        right_far = xs[mid + span - 1] - knots >= knots - xs[mid]
+        active = low < high
+        high = np.where(active & right_far, mid, high)
+        low = np.where(active & ~right_far, mid + 1, low)
+    starts = np.stack([np.clip(low - 1, 0, last), np.minimum(low, last)])
+    reach = np.maximum(knots - xs[starts], xs[starts + span - 1] - knots)
+    start = np.where(reach[0] <= reach[1], starts[0], starts[1])
+    h_raw = reach.min(axis=0)
+    h = np.maximum(h_raw, h_floor)
+
+    fitted = np.empty(knots.size)
+    dead = np.zeros(knots.size, dtype=bool)
+    chunk = max(1, 500_000 // span)
+    offsets = np.arange(span)
+    for lo in range(0, knots.size, chunk):
+        rows = slice(lo, lo + chunk)
+        idx = start[rows, None] + offsets
+        fitted[rows], dead[rows] = _windowed_fit(
+            xs[idx] - knots[rows, None], ys[idx], h[rows])
+
+    # A floored radius can reach past the window, and the dead-window
+    # mean takes every point within h, ties outside the window included;
+    # both are rare, so those knots are refitted against all n points.
+    redo = np.flatnonzero(dead | (h_raw < h_floor))
+    chunk = max(1, 500_000 // n)
+    for lo in range(0, redo.size, chunk):
+        rows = redo[lo:lo + chunk]
+        fitted[rows], _ = _windowed_fit(x - knots[rows, None], y, h[rows])
+
+    return knots, fitted
+
+
 def reference_forecast(model, pca, ff, state, rates, w, horizon,
                        tau_blend=2.0):
     """The forecast engine one horizon and one component at a time.
@@ -411,14 +514,47 @@ def reference_tensor(schedules):
                            years=years, ages=np.arange(n_ages))
 
 
+def reference_records(model, result, tensor, observed, c, t_origin,
+                      config):
+    """Records of one forecast, one horizon at a time.
+
+    The loop that ``mortflow.evaluation._records_from_result`` replaced:
+    per horizon a mask test, a record, and the schedule errors of that
+    horizon alone.
+    """
+    from mortflow.evaluation import CVRecord, _schedule_errors, _tucker_e0
+
+    records = []
+    origin_year = int(tensor.years[t_origin])
+    for h in range(1, config.horizon + 1):
+        t = t_origin + h
+        if t >= tensor.years.size or not tensor.mask[c, t]:
+            continue
+        obs = tensor.values[:, :, c, t]
+        e0_hat = float(result.e0_avg[h - 1])
+        e0_obs = (_tucker_e0(model, obs) if config.truth == "tucker"
+                  else float(observed[c, t]))
+        rec = CVRecord(country=tensor.countries[c], origin=origin_year,
+                       horizon=h, e0_hat=e0_hat, e0_obs=e0_obs,
+                       err=e0_hat - e0_obs)
+        if config.schedules:
+            eps, lx, excluded = _schedule_errors(result.schedules[h - 1], obs)
+            rec.log_mx_err = eps
+            rec.lx_obs = lx
+            rec.excluded = int(excluded)
+        records.append(rec)
+    return records
+
+
 def reference_grid(tensor, grid_w, grid_tau, config):
     """(best, table) of the grid search by one full fit_dynamics per
     (origin, tau), the loop the split into tau-free and speed halves
-    replaced.  Cells pool their records in origin-plan order.
+    replaced.  Cells pool their records (``reference_records``) in
+    origin-plan order.
     """
     from dataclasses import replace
 
-    from mortflow.evaluation import _origin_plan, _records_from_result
+    from mortflow.evaluation import _origin_plan
     from mortflow.forecast import ForecastConfig, country_state, run_forecast
     from mortflow.lifetable import observed_e0
     from mortflow.pipeline import fit_basis, fit_dynamics
@@ -440,7 +576,7 @@ def reference_grid(tensor, grid_w, grid_tau, config):
                     result = run_forecast(basis.model, basis.pca, ff, state,
                                           fc)
                     errors[(float(w), float(tau))].extend(
-                        abs(r.err) for r in _records_from_result(
+                        abs(r.err) for r in reference_records(
                             basis.model, result, tensor, observed, c, t0,
                             config))
     table = [{"w": float(w), "tau": float(tau),

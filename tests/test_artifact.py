@@ -1,5 +1,6 @@
 """Persistence tests: exact round trips, canonical bytes, validation."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -17,8 +18,8 @@ from mortflow.artifact import (
 )
 from mortflow.cli import main
 from mortflow.data import drop_country
-from mortflow.errors import (ArtifactError, DataError, InsufficientDataError,
-                             TailConfigError)
+from mortflow.errors import (ArtifactError, ConfigError, DataError,
+                             InsufficientDataError, TailConfigError)
 from mortflow.evaluation import CVConfig
 from mortflow.forecast import PICalibration, country_state
 from mortflow.pipeline import FitConfig, fit_model
@@ -231,6 +232,19 @@ def test_load_rejects_blocks_that_disagree_on_a_size(fitted, tmp_path, check):
     path.write_text(json.dumps(doc))
     with pytest.raises(ArtifactError, match=message):
         load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", -1), ("bandwidth", 0.0), ("tail_blend", -3.0), ("max_lag", 0),
+])
+def test_load_rejects_an_out_of_range_config(fitted, tmp_path, key, value):
+    # the hash is recomputed, so only the range check can refuse the file
+    doc = model_to_dict(fitted)
+    config = doc["meta"]["config"]
+    config[key] = value
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    doc["meta"]["config_hash"] = hashlib.sha256(blob.encode()).hexdigest()
+    _assert_load_fails(doc, key, tmp_path, cause=ConfigError)
 
 
 def _assert_load_fails(doc, message, tmp_path, cause=None):

@@ -411,6 +411,24 @@ def test_cv_out_of_range_settings_exit_2(split_csvs, workdir, capsys, flag):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--seed", "-1"], "seed must be non-negative, not -1"),
+    (["fit", "--tau", "nan"], "tau must be positive and finite, not nan"),
+    (["fit", "--window", "inf"],
+     "window must be positive and finite, not inf"),
+    (["cv", "--seed", "-2"], "seed must be non-negative, not -2"),
+    (["cv", "--tau", "-1"], "tau must be positive and finite, not -1.0"),
+    (["cv", "--window", "0"], "window must be positive and finite, not 0.0"),
+])
+def test_bad_fit_settings_exit_2_before_the_csv_is_read(workdir, capsys,
+                                                        argv, message):
+    # the input does not exist: the settings are checked first
+    rc = main([*argv, "--input", str(workdir / "absent.csv"),
+               "--out", str(workdir / "never")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_forecast_tier1_skips_blank_lines(model_json, workdir):
     e0_csv = workdir / "blank_e0.csv"
     e0_csv.write_text("year,e0\n\n2000,8.0\n\n2001,8.1\n2002,8.2\n\n")

@@ -9,7 +9,7 @@ import pytest
 
 from mortflow.data import MortalityTensor, drop_country
 from mortflow.errors import ConfigError, DataError, InsufficientDataError
-from mortflow import flowfield
+from mortflow import evaluation, flowfield
 from mortflow.convergence import estimate_rates
 from mortflow.evaluation import (
     GRID_TAU,
@@ -17,6 +17,8 @@ from mortflow.evaluation import (
     CVRecord,
     GridResult,
     _effective_jobs,
+    _inclusive_records,
+    _records_from_result,
     _schedule_errors,
     calibrate_pi,
     candidate_origins,
@@ -31,13 +33,14 @@ from mortflow.evaluation import (
     write_records_csv,
 )
 from mortflow.forecast import tier2_state
+from mortflow.lifetable import observed_e0
 from mortflow.pca import scores as core_scores
 from mortflow.pipeline import (FitConfig, fit_basis, fit_dynamics, fit_model,
                                fit_path_dynamics, fit_speed_dynamics)
 from mortflow.synth import SyntheticSpec, generate
 from mortflow.tucker import project_schedule
 
-from oracles import reference_grid
+from oracles import reference_grid, reference_records
 
 
 def make_records(errs, horizons, country="X", origin=2000):
@@ -611,7 +614,102 @@ def test_grid_fits_tau_free_dynamics_once_per_origin(cv_world, monkeypatch):
                      for c in range(len(tensor.countries))
                      for t in candidate_origins(tensor, c, config)})
     assert n_origins > 1
-    # components 2..K get a trajectory, plus the two level maps
-    assert lowess_callers["fit_paths"] == \
-        n_origins * (config.n_components - 1 + 2)
+    # one call fits the trajectories of components 2..K and the e0 map
+    # on the shared s1, and one more the s1 map
+    assert lowess_callers["fit_paths"] == n_origins * 2
     assert era_fits == list(GRID_TAU) * n_origins
+
+
+# ------------------------------------------- records against the oracle
+
+
+def assert_same_records(got, want):
+    """Equal record lists, every float and array bit for bit."""
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert (a.country, a.origin, a.horizon, a.excluded) == \
+            (b.country, b.origin, b.horizon, b.excluded)
+        assert type(a.excluded) is int
+        for name in ("e0_hat", "e0_obs", "err"):
+            assert getattr(a, name).hex() == getattr(b, name).hex()
+        for name in ("log_mx_err", "lx_obs"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("truth", ["raw", "tucker"])
+def test_strict_and_inclusive_records_match_the_horizon_loop(
+        cv_world, monkeypatch, truth):
+    config = CVConfig(horizon=15, origin_spacing=10, seed=3, truth=truth)
+    tensor = cv_world.tensor
+    strict = run_loco_cv(tensor, config)
+    inclusive = run_inclusive_cv(tensor, config)
+    monkeypatch.setattr(evaluation, "_records_from_result",
+                        reference_records)
+    assert_same_records(strict, run_loco_cv(tensor, config))
+    assert_same_records(inclusive, run_inclusive_cv(tensor, config))
+
+
+@pytest.mark.parametrize("truth", ["raw", "tucker"])
+@pytest.mark.parametrize("schedules", [True, False])
+def test_one_forecast_records_match_the_horizon_loop(cv_world, truth,
+                                                     schedules):
+    # underflowing cells on both sides give excluded counts; the origin
+    # sits close enough to the end that the horizon runs past the years
+    tensor = cv_world.tensor
+    c, t0 = 1, tensor.years.size - 12
+    config = CVConfig(horizon=20, seed=3, truth=truth, schedules=schedules)
+    fitted = fit_model(tensor, config.fit_config(int(tensor.years[t0])),
+                       clip_ranks=True)
+    result = fitted.forecast(tensor.countries[c], horizon=config.horizon)
+    values = tensor.values.copy()
+    mask = tensor.mask.copy()
+    observed_t = np.flatnonzero(mask[c, t0 + 1:]) + t0 + 1
+    values[1, 3, c, observed_t[0]] = -800.0
+    values[0, :2, c, observed_t[-1]] = -900.0
+    mask[c, observed_t[1]] = False
+    result.schedules[observed_t[2] - t0 - 1, 1, 5] = -850.0
+    damaged = replace(tensor, values=values, mask=mask)
+    observed = observed_e0(values, mask)
+    got = _records_from_result(fitted.model, result, damaged, observed, c,
+                               t0, config)
+    want = reference_records(fitted.model, result, damaged, observed, c, t0,
+                             config)
+    assert_same_records(got, want)
+    assert [r.horizon for r in got] == [int(t - t0) for t in observed_t
+                                        if mask[c, t]]
+    if schedules:
+        assert [r.excluded for r in got[:3]] == [1, 1, 0]
+        assert got[-1].excluded == 2
+
+
+def test_grid_maes_are_the_record_maes_in_plan_order(cv_world):
+    config = CVConfig(horizon=12, schedules=False, seed=3)
+    grid_w, grid_tau = (0.2, 1.0), (10.0, 20.0)
+    result = grid_search(cv_world.tensor, grid_w, grid_tau, config)
+    cells = _inclusive_records(cv_world.tensor, config, grid_w, grid_tau,
+                               reference_records)
+    for row in result.table:
+        errs = [abs(r.err) for r in cells[(row["w"], row["tau"])]]
+        assert row["n"] == len(errs)
+        assert row["mae"].hex() == float(np.mean(errs)).hex()
+
+
+def test_a_nan_forecast_e0_raises_data_error(cv_world, monkeypatch):
+    real = evaluation.run_forecasts
+
+    def nan_at_h3(*args, **kwargs):
+        results = real(*args, **kwargs)
+        for result in results:
+            result.e0_avg[2] = np.nan
+        return results
+
+    monkeypatch.setattr(evaluation, "run_forecasts", nan_at_h3)
+    config = CVConfig(horizon=10, seed=3)
+    with pytest.raises(DataError, match="non-finite error .* horizon 3"):
+        grid_search(cv_world.tensor, (1.0,), (12.0,), config)
+    with pytest.raises(DataError, match="non-finite error .* horizon 3"):
+        run_inclusive_cv(cv_world.tensor, config)

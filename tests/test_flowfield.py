@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mortflow.data import MortalityTensor
 from mortflow.errors import EmptyEraError, InsufficientDataError
 from mortflow.flowfield import (
+    MIN_SERIES_YEARS,
     build_country_series,
+    build_series,
     derivative_correlations,
     fit_flowfield,
     series_from_fit,
@@ -13,6 +18,7 @@ from mortflow.lifetable import e0_by_sex
 from mortflow.pca import fit_core_pca, score_grid
 from mortflow.pipeline import FitConfig
 from mortflow.tucker import hosvd
+from oracles import windowed_lowess
 
 CKS = (-0.9, 0.5, -0.3, 0.2)
 
@@ -74,6 +80,50 @@ def test_short_series_skipped_with_warning():
     with pytest.warns(UserWarning):
         out = build_country_series("X", years, np.column_stack([s1, s1]), 80.0 - s1)
     assert out is None
+
+
+@st.composite
+def series_entries(draw):
+    """(country, years, scores, e0) entries of ragged lengths, some below
+    MIN_SERIES_YEARS, some sharing a length (so a smoothing span) with
+    another, years shuffled and spaced by 1 to 3."""
+    lengths = draw(st.lists(st.sampled_from([2, 4, 5, 6, 9, 12, 12, 40, 41]),
+                            min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    entries = []
+    for j, n in enumerate(lengths):
+        years = 1900 + np.cumsum(rng.integers(1, 4, size=n))
+        scores = rng.normal(size=(n, 3)).cumsum(axis=0)
+        entries.append((f"C{j}", rng.permutation(years), scores,
+                        70.0 + rng.normal(size=n)))
+    return entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_entries())
+def test_build_series_is_each_country_alone_and_the_former_kernel(entries):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        together = build_series(entries)
+    short = [c for c, years, _, _ in entries if years.size < MIN_SERIES_YEARS]
+    assert [str(w.message).split(":")[0] for w in caught] == short
+    assert len(together) == len(entries)
+    for got, (country, years, scores, e0) in zip(together, entries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            alone = build_country_series(country, years, scores, e0)
+        if years.size < MIN_SERIES_YEARS:
+            assert got is None and alone is None
+            continue
+        for name in ("years", "scores", "s1_smooth", "ds1_raw", "ds1_smooth",
+                     "e0"):
+            assert getattr(got, name).tobytes() == \
+                getattr(alone, name).tobytes()
+        # the s1 smoothing of the former, one-country bisection kernel
+        x = got.years.astype(float)
+        knots, values = windowed_lowess(x, got.scores[:, 0],
+                                        max(0.25, 10.0 / x.size))
+        assert got.s1_smooth.tobytes() == np.interp(x, knots, values).tobytes()
 
 
 def test_smoothing_bandwidth_floor_tracks_series_length():

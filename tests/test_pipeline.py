@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mortflow.errors import RankError
+from mortflow.errors import ConfigError, CVConfigError, RankError
+from mortflow.evaluation import CVConfig
 from mortflow.forecast import tier1_state
 from mortflow.lifetable import e0_by_sex
 from mortflow.pca import score_grid
@@ -38,6 +39,24 @@ def test_fit_config_serialises_declared_types():
     assert type(d["ranks"]) is list and d["ranks"] == [2, 5, 3, 7]
     with pytest.raises(TypeError):
         FitConfig(n_components=2.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("tau", 0.0), ("tau", float("nan")), ("window", -40.0),
+    ("bandwidth", 0.0), ("bandwidth", float("inf")), ("tail_delta", 0.0),
+    ("tail_blend", float("nan")), ("max_lag", 0),
+])
+def test_fit_config_rejects_out_of_range_settings(name, value):
+    with pytest.raises(ConfigError, match=name):
+        FitConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [
+    ("seed", -1), ("tau", float("inf")), ("window", 0.0),
+])
+def test_cv_config_rejects_out_of_range_fit_settings(name, value):
+    with pytest.raises(CVConfigError, match=name):
+        CVConfig(**{name: value})
 
 
 def test_fit_model_end_to_end():

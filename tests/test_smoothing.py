@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mortflow.errors import DataError, EmptyEraError, TailConfigError
+from mortflow.errors import (ConfigError, DataError, EmptyEraError,
+                             TailConfigError)
 from mortflow.smoothing import (
     EraKernel,
     ExtendedFn,
@@ -12,9 +13,10 @@ from mortflow.smoothing import (
     era_lowess,
     era_weights,
     lowess,
+    lowess_each,
     smoothstep,
 )
-from oracles import reference_lowess
+from oracles import reference_lowess, windowed_lowess
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +208,83 @@ def test_lowess_matches_reference_on_quantile_knots(seed, step, bandwidth):
     assume(np.unique(x).size > 1000)
     y = rng.uniform(-10.0, 10.0, size=n)
     _check_against_reference((x, y, bandwidth, 1000))
+
+
+def assert_same_fit(fn, x, y, bandwidth, max_knots=1000):
+    """``fn`` is the former kernel's fit of (x, y), values bit for bit.
+
+    Knots compare by value: where x holds both 0.0 and -0.0, np.unique
+    may keep either sign for the knot.
+    """
+    knots, values = windowed_lowess(x, y, bandwidth, max_knots)
+    np.testing.assert_array_equal(fn.knots, knots)
+    assert fn.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lowess_cases(), st.integers(1, 4), st.data())
+def test_lowess_is_the_bisection_kernel_bit_for_bit(case, k, data):
+    # one response, and every row of a (k, n) y against its own fit
+    x, y, bandwidth, max_knots = case
+    assert_same_fit(lowess(x, y, bandwidth=bandwidth, max_knots=max_knots),
+                    x, y, bandwidth, max_knots)
+    rows = np.array([y] + [data.draw(st.lists(
+        st.floats(-10.0, 10.0), min_size=y.size, max_size=y.size))
+        for _ in range(k - 1)])
+    fns = lowess(x, rows, bandwidth=bandwidth, max_knots=max_knots)
+    assert isinstance(fns, list) and len(fns) == k
+    for fn, row in zip(fns, rows):
+        assert_same_fit(fn, x, row, bandwidth, max_knots)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2e-4, None]),
+       st.floats(0.0, 1.0))
+def test_lowess_is_the_bisection_kernel_on_quantile_knots(seed, step,
+                                                          bandwidth):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1001, 1400))
+    x = rng.uniform(-1.0, 1.0, size=n)
+    if step is not None:
+        x = step * np.round(x / step)
+    assume(np.unique(x).size > 1000)
+    y = rng.uniform(-10.0, 10.0, size=(3, n))
+    for fn, row in zip(lowess(x, y, bandwidth=bandwidth), y):
+        assert fn.knots.size <= 1000
+        assert_same_fit(fn, x, row, bandwidth)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(lowess_cases(), min_size=1, max_size=6), st.booleans())
+def test_lowess_each_is_lowess_of_each(cases, shared_span):
+    # ragged lengths; bandwidth 0 puts every fit at span 2, so their
+    # knots are reduced together
+    xs = [x for x, _, _, _ in cases]
+    ys = [y for _, y, _, _ in cases]
+    bandwidths = [0.0 if shared_span else b for _, _, b, _ in cases]
+    for fn, x, y, b in zip(lowess_each(xs, ys, bandwidths), xs, ys,
+                           bandwidths):
+        assert_same_fit(fn, x, y, b)
+
+
+def test_lowess_rejects_a_non_finite_bandwidth():
+    x, y = np.arange(10.0), np.arange(10.0)
+    for bandwidth in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match="bandwidth"):
+            lowess(x, y, bandwidth=bandwidth)
+    # 0 is valid: every window holds two points
+    assert lowess(x, y, bandwidth=0.0).values.tolist() == y.tolist()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lowess_rejects_non_finite_data(bad):
+    x, y = np.arange(10.0), np.arange(10.0)
+    with pytest.raises(DataError, match="finite"):
+        lowess(x, np.append(y[:-1], bad))
+    with pytest.raises(DataError, match="finite"):
+        lowess(np.append(x[:-1], bad), y)
+    with pytest.raises(DataError, match="finite"):
+        lowess(x, np.vstack([y, np.append(y[:-1], bad)]))
 
 
 def test_lowess_dead_window_averages_ties_beyond_the_span():
