@@ -15,8 +15,7 @@ import numpy as np
 from .errors import InsufficientDataError, ShapeMismatchError
 from .lifetable import observed_e0
 from .pca import score_grid
-from .smoothing import (EraKernel, ExtendedFn, SmoothFn, era_lowess, lowess,
-                        lowess_each)
+from .smoothing import EraKernel, ExtendedFn, SmoothFn, era_lowess, lowess
 
 # a country needs this many observed years to contribute at all
 MIN_SERIES_YEARS = 5
@@ -44,47 +43,35 @@ class CountryScoreSeries:
 
 
 def build_country_series(country, years, scores, e0, bandwidth=None):
-    """One country's series: the one-country view of ``build_series``."""
-    return build_series([(country, years, scores, e0)], bandwidth)[0]
+    """Assemble and smooth one country's score series.
 
-
-def build_series(entries, bandwidth=None):
-    """Assemble and smooth each (country, years, scores, e0) series.
-
-    Returns a list in the order of ``entries``, None (with a warning)
-    where fewer than MIN_SERIES_YEARS observations exist.  The temporal
-    smoothing of the first score uses bandwidth max(0.25, 10/n) unless
-    overridden, in one pass (``lowess_each``) to the bits of one alone.
+    Returns None (with a warning) when fewer than MIN_SERIES_YEARS
+    observations exist.  The temporal smoothing of the first score uses
+    bandwidth max(0.25, 10/n) unless overridden.
     """
-    out = []
-    for country, years, scores, e0 in entries:
-        years = np.asarray(years)
-        scores = np.asarray(scores, dtype=float)
-        if scores.ndim != 2 or scores.shape[0] != years.size:
-            raise ShapeMismatchError("scores must be (n_years, n_components)")
-        e0 = np.broadcast_to(np.asarray(e0, dtype=float), (years.size,))
-        n = years.size
-        if n < MIN_SERIES_YEARS:
-            warnings.warn(f"{country}: only {n} observed years; "
-                          "series skipped")
-            out.append(None)
-            continue
-        order = np.argsort(years)
-        out.append(CountryScoreSeries(
-            country=country, years=years[order].astype(int),
-            scores=scores[order], s1_smooth=None, ds1_raw=None,
-            ds1_smooth=None, e0=e0[order].copy()))
-    series = [s for s in out if s is not None]
-    x = [s.years.astype(float) for s in series]
-    fns = lowess_each(x, [s.scores[:, 0] for s in series],
-                      [max(0.25, 10.0 / xi.size) if bandwidth is None
-                       else bandwidth for xi in x])
-    for s, xi, fn in zip(series, x, fns):
-        gaps = np.diff(s.years).astype(float)
-        s.s1_smooth = fn(xi)
-        s.ds1_raw = np.diff(s.scores[:, 0]) / gaps
-        s.ds1_smooth = np.diff(s.s1_smooth) / gaps
-    return out
+    years = np.asarray(years)
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim != 2 or scores.shape[0] != years.size:
+        raise ShapeMismatchError("scores must be (n_years, n_components)")
+    e0 = np.broadcast_to(np.asarray(e0, dtype=float), (years.size,))
+    n = years.size
+    if n < MIN_SERIES_YEARS:
+        warnings.warn(f"{country}: only {n} observed years; series skipped")
+        return None
+    order = np.argsort(years)
+    years = years[order].astype(int)
+    scores = scores[order]
+    e0 = e0[order].copy()
+    if bandwidth is None:
+        bandwidth = max(0.25, 10.0 / n)
+    fn = lowess(years.astype(float), scores[:, 0], bandwidth=bandwidth)
+    s1_smooth = fn(years.astype(float))
+    gaps = np.diff(years).astype(float)
+    ds1_raw = np.diff(scores[:, 0]) / gaps
+    ds1_smooth = np.diff(s1_smooth) / gaps
+    return CountryScoreSeries(country=country, years=years, scores=scores,
+                              s1_smooth=s1_smooth, ds1_raw=ds1_raw,
+                              ds1_smooth=ds1_smooth, e0=e0)
 
 
 def series_from_fit(model, pca, tensor, grid=None):
@@ -97,10 +84,16 @@ def series_from_fit(model, pca, tensor, grid=None):
     if grid is None:
         grid = score_grid(model, pca)
     e0 = observed_e0(tensor.values, tensor.mask)
-    observed = [(c, np.flatnonzero(row)) for c, row in enumerate(tensor.mask)]
-    series = build_series([(tensor.countries[c], tensor.years[t], grid[c, t],
-                            e0[c, t]) for c, t in observed if t.size])
-    return {s.country: s for s in series if s is not None}
+    out = {}
+    for c, country in enumerate(tensor.countries):
+        t_idx = np.flatnonzero(tensor.mask[c])
+        if t_idx.size == 0:
+            continue
+        series = build_country_series(
+            country, tensor.years[t_idx], grid[c, t_idx], e0[c, t_idx])
+        if series is not None:
+            out[country] = series
+    return out
 
 
 @dataclass
@@ -128,17 +121,17 @@ def truncate_series(series_by_country, origin):
     through a smoothing window.  Countries left with too few years (or
     mapped to None) are dropped.  Returns a dict sorted by country.
     """
-    out = {c: s for c, s in sorted(series_by_country.items())
-           if s is not None}
-    cut = [(c, s.years <= origin) for c, s in out.items()
-           if s.years[-1] > origin]
-    rebuilt = build_series([(c, out[c].years[keep], out[c].scores[keep],
-                             out[c].e0[keep]) for c, keep in cut])
-    for (country, _), series in zip(cut, rebuilt):
+    out = {}
+    for country, series in sorted(series_by_country.items()):
         if series is None:
-            del out[country]
-        else:
-            out[country] = series
+            continue
+        if series.years[-1] > origin:
+            keep = series.years <= origin
+            series = build_country_series(country, series.years[keep],
+                                          series.scores[keep], series.e0[keep])
+            if series is None:
+                continue
+        out[country] = series
     return out
 
 

@@ -234,22 +234,11 @@ def run_forecasts(model, pca, ff, states, config, w=None):
         s1 = np.array([_level_path(ff.speed, states[0], float(w[0]),
                                    rates.alpha_v, config.horizon)])
     else:
-        # step_speed's operations in its order, with alpha_v ** h in Python
-        # floats (np.power can round differently) and ff.speed inlined
-        speed, base = ff.speed, ff.speed.base
-        blend = np.multiply.outer(
-            [rates.alpha_v ** h for h in horizons.tolist()], 1.0 - w)
-        keep, pull = 1.0 - blend, blend * batch.velocity
         s1 = np.empty((len(states), config.horizon))
         level = batch.scores[:, 0, 0]
-        for h in range(config.horizon):
-            t = np.minimum(np.maximum(
-                (speed.transition - level) / speed.blend_width, 0.0), 1.0)
-            t = t * t * (3.0 - 2.0 * t)
-            v = (1.0 - t) * np.interp(level, base.knots, base.values) + t * (
-                speed.anchor + speed.slope * (level - speed.transition))
-            level = level + (keep[h] * v + pull[h])
-            s1[:, h] = level
+        for h in range(1, config.horizon + 1):
+            _, level = step_speed(ff, batch, w, rates.alpha_v, h, level)
+            s1[:, h - 1] = level
     sk = relax_scores(ff, batch, rates, horizons, s1)
     scores = np.concatenate((s1[..., None], sk), axis=-1)
     schedules = reconstruct_with_jumpoff(model, pca, batch, scores, horizons)

@@ -136,31 +136,63 @@ def _fit_knots(xc, ys, h):
     return values, dead
 
 
-def _windows(x, y, bandwidth, max_knots):
-    """Validate one fit, sort it, and find every knot's window.
+def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
+    """Locally linear scatterplot smoother with a tricube kernel.
 
-    Returns span and (x, y, xs, ys, knots, start, h, floored): x and the
-    (k, n) y as given and sorted by x, and knot j's window
-    xs[start[j]:start[j] + span], radius h and whether h was floored.
+    Parameters
+    ----------
+    x, y : array_like
+        Finite observations.  ``x`` needs at least two distinct values.
+        A 2-D ``y`` of shape (k, n), n the size of ``x``, holds k
+        responses on the same x; any other ``y`` is flattened.
+    bandwidth : float
+        Fraction of points in each local window; finite (ConfigError).
+    max_knots : int
+        Evaluation grid cap.  Above it the grid is quantile-spaced.
+
+    Returns
+    -------
+    SmoothFn, or for a (k, n) ``y`` a list of k SmoothFn, one per row.
+
+    Notes
+    -----
+    Degree-1 local fits, zero robustness iterations.  The window of a
+    knot is the contiguous run of ``span = ceil(bandwidth * n)`` points
+    (at least 2) in sorted x that lies nearest to it (Cleveland 1979),
+    and its radius h is the distance to the farthest of them, floored at
+    ``1e-12 * max(range of x, 1)``.  Points at distance exactly h,
+    boundary ties included, get zero kernel weight.  A window whose
+    weighted design is degenerate falls back to the weighted local mean,
+    and a window whose points all sit at distance h (so no weight is
+    positive) to the unweighted mean of every point within distance h.
     """
     if not np.isfinite(bandwidth):
         raise ConfigError(f"bandwidth {bandwidth} must be finite")
     x = np.asarray(x, dtype=float).ravel()
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if y.shape[1:] != x.shape:
+    y = np.asarray(y, dtype=float)
+    multi = y.ndim == 2 and y.shape[1] == x.size
+    if not multi:
+        y = y.reshape(1, -1)
+    if y.shape[1] != x.size:
         raise DataError("x and y must have equal length")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DataError("x and y must be finite")
     n = x.size
     order = np.argsort(x, kind="stable")
-    xs = x[order]
-    xu = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    xs, ys = x[order], y[:, order]
+    xu = xs[np.diff(xs, prepend=-np.inf) != 0.0]
     if xu.size < 2:
         raise DataError("need at least two distinct x values")
-    knots = (np.unique(np.quantile(xs, np.linspace(0.0, 1.0, max_knots)))
-             if xu.size > max_knots else xu)
-    span = min(max(int(np.ceil(bandwidth * n)), 2), n)
-    h_floor = 1e-12 * max(xu[-1] - xu[0], 1.0)
+
+    if xu.size > max_knots:
+        knots = np.unique(np.quantile(xs, np.linspace(0.0, 1.0, max_knots)))
+    else:
+        knots = xu
+
+    span = int(np.ceil(bandwidth * n))
+    span = min(max(span, 2), n)
+    scale = xu[-1] - xu[0]
+    h_floor = 1e-12 * max(scale, 1.0)
 
     # The nearest run of a knot starts at the first i whose right end
     # xs[i + span - 1] is at least as far from the knot as its left end
@@ -184,96 +216,29 @@ def _windows(x, y, bandwidth, max_knots):
              for i in starts]
     start = np.where(reach[0] <= reach[1], *starts)
     h_raw = np.minimum(*reach)
-    return span, (x, y, xs, y[:, order], knots, start,
-                  np.maximum(h_raw, h_floor), h_raw < h_floor)
+    h = np.maximum(h_raw, h_floor)
 
+    fitted = np.empty((len(y), knots.size))
+    dead = np.zeros(knots.size, dtype=bool)
+    chunk = max(1, WINDOW_CELLS // span)
+    offsets = np.arange(span)
+    for lo in range(0, knots.size, chunk):
+        rows = slice(lo, lo + chunk)
+        idx = start[rows, None] + offsets
+        fitted[:, rows], dead[rows] = _fit_knots(
+            xs[idx] - knots[rows, None], [v[idx] for v in ys], h[rows])
 
-def _lowess_fits(cases, max_knots):
-    """Knots and (k, knots) values of each (x, y, bandwidth) case.
+    # A floored radius can reach past the window, and the dead-window
+    # mean takes every point within h, ties outside the window included;
+    # both are rare, so those knots are refitted against all n points.
+    redo = np.flatnonzero(dead | (h_raw < h_floor))
+    chunk = max(1, WINDOW_CELLS // n)
+    for lo in range(0, redo.size, chunk):
+        rows = redo[lo:lo + chunk]
+        fitted[:, rows], _ = _fit_knots(x - knots[rows, None], y, h[rows])
 
-    Cases of equal span and response count are reduced together, in
-    chunks of about WINDOW_CELLS cells; each row still reduces over its
-    own window alone, so a case gets the bits it gets alone.
-    """
-    out, groups = [], {}
-    for case in cases:
-        span, fit = _windows(*case, max_knots)
-        values = np.empty((len(fit[1]), fit[4].size))  # (k, knots)
-        out.append((fit[4], values))
-        groups.setdefault((span, len(values)), []).append((*fit, values))
-    for (span, _), part in groups.items():
-        x, y, xs, ys, knots, start, h, floored, values = zip(*part)
-        firsts, bounds = [0], [0]
-        for a, k in zip(xs, knots):
-            firsts.append(firsts[-1] + a.size)
-            bounds.append(bounds[-1] + k.size)
-        all_xs, all_ys, all_knots, all_h, all_start = (
-            a[0] if len(a) == 1 else np.concatenate(a, axis=-1)
-            for a in (xs, ys, knots, h,
-                      [s + o for s, o in zip(start, firsts)]))
-        dead = np.zeros(all_knots.size, dtype=bool)
-        fitted = np.empty((len(all_ys), all_knots.size))
-        chunk = max(1, WINDOW_CELLS // span)
-        offsets = np.arange(span)
-        for lo in range(0, all_knots.size, chunk):
-            rows = slice(lo, lo + chunk)
-            idx = all_start[rows, None] + offsets
-            fitted[:, rows], dead[rows] = _fit_knots(
-                all_xs[idx] - all_knots[rows, None], [v[idx] for v in all_ys],
-                all_h[rows])
-        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            values[i][:] = fitted[:, lo:hi]
-            # rare knots need all n points: a floored radius can reach
-            # past the window, and a dead window's mean takes every point
-            # within h, ties outside the window included
-            redo = np.flatnonzero(floored[i] | dead[lo:hi])
-            chunk = max(1, WINDOW_CELLS // x[i].size)
-            for r in range(0, redo.size, chunk):
-                rows = redo[r:r + chunk]
-                values[i][:, rows], _ = _fit_knots(
-                    x[i] - knots[i][rows, None], y[i], h[i][rows])
-    return out
-
-
-def lowess(x, y, bandwidth=0.20, max_knots=MAX_KNOTS):
-    """Locally linear scatterplot smoother with a tricube kernel.
-
-    Parameters
-    ----------
-    x, y : array_like
-        Finite observations.  ``x`` needs at least two distinct values.
-        A 2-D ``y`` of shape (k, n) holds k responses on the same x.
-    bandwidth : float
-        Fraction of points in each local window; finite (ConfigError).
-    max_knots : int
-        Evaluation grid cap.  Above it the grid is quantile-spaced.
-
-    Returns
-    -------
-    SmoothFn, or for a 2-D ``y`` a list of k SmoothFn, one per row.
-
-    Notes
-    -----
-    Degree-1 local fits, zero robustness iterations.  The window of a
-    knot is the contiguous run of ``span = ceil(bandwidth * n)`` points
-    (at least 2) in sorted x that lies nearest to it (Cleveland 1979),
-    and its radius h is the distance to the farthest of them, floored at
-    ``1e-12 * max(range of x, 1)``.  Points at distance exactly h,
-    boundary ties included, get zero kernel weight.  A window whose
-    weighted design is degenerate falls back to the weighted local mean,
-    and a window whose points all sit at distance h (so no weight is
-    positive) to the unweighted mean of every point within distance h.
-    """
-    ((knots, values),) = _lowess_fits([(x, y, bandwidth)], max_knots)
-    fns = [SmoothFn(knots=knots, values=row) for row in values]
-    return fns if np.ndim(y) == 2 else fns[0]
-
-
-def lowess_each(xs, ys, bandwidths, max_knots=MAX_KNOTS):
-    """``[lowess(x, y, b) for x, y, b in zip(xs, ys, bandwidths)]`` bit for
-    bit, with the knots of fits of equal span reduced together."""
-    return [SmoothFn(knots=knots, values=values[0]) for knots, values
-            in _lowess_fits(list(zip(xs, ys, bandwidths)), max_knots)]
+    fns = [SmoothFn(knots=knots, values=values) for values in fitted]
+    return fns if multi else fns[0]
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +344,7 @@ class ExtendedFn:
         # and t * t erases the one place they differ, the sign of a zero
         t = np.minimum(np.maximum((self.transition - s) / self.blend_width,
                                   0.0), 1.0)
-        w = t * t * (3.0 - 2.0 * t)
+        w = smoothstep(t)
         out = (1.0 - w) * self.base(s) + w * line
         return out if out.ndim else float(out)
 

@@ -9,7 +9,6 @@ from mortflow.errors import EmptyEraError, InsufficientDataError
 from mortflow.flowfield import (
     MIN_SERIES_YEARS,
     build_country_series,
-    build_series,
     derivative_correlations,
     fit_flowfield,
     series_from_fit,
@@ -85,8 +84,7 @@ def test_short_series_skipped_with_warning():
 @st.composite
 def series_entries(draw):
     """(country, years, scores, e0) entries of ragged lengths, some below
-    MIN_SERIES_YEARS, some sharing a length (so a smoothing span) with
-    another, years shuffled and spaced by 1 to 3."""
+    MIN_SERIES_YEARS, years shuffled and spaced by 1 to 3."""
     lengths = draw(st.lists(st.sampled_from([2, 4, 5, 6, 9, 12, 12, 40, 41]),
                             min_size=1, max_size=7))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -101,25 +99,17 @@ def series_entries(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(series_entries())
-def test_build_series_is_each_country_alone_and_the_former_kernel(entries):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        together = build_series(entries)
-    short = [c for c, years, _, _ in entries if years.size < MIN_SERIES_YEARS]
-    assert [str(w.message).split(":")[0] for w in caught] == short
-    assert len(together) == len(entries)
-    for got, (country, years, scores, e0) in zip(together, entries):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            alone = build_country_series(country, years, scores, e0)
+def test_country_series_smoothing_is_the_former_kernel(entries):
+    for country, years, scores, e0 in entries:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = build_country_series(country, years, scores, e0)
         if years.size < MIN_SERIES_YEARS:
-            assert got is None and alone is None
+            assert got is None
+            assert [str(w.message).split(":")[0] for w in caught] == [country]
             continue
-        for name in ("years", "scores", "s1_smooth", "ds1_raw", "ds1_smooth",
-                     "e0"):
-            assert getattr(got, name).tobytes() == \
-                getattr(alone, name).tobytes()
-        # the s1 smoothing of the former, one-country bisection kernel
+        assert not caught
+        # the s1 smoothing of the former bisection kernel, bit for bit
         x = got.years.astype(float)
         knots, values = windowed_lowess(x, got.scores[:, 0],
                                         max(0.25, 10.0 / x.size))

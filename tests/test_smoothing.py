@@ -13,7 +13,6 @@ from mortflow.smoothing import (
     era_lowess,
     era_weights,
     lowess,
-    lowess_each,
     smoothstep,
 )
 from oracles import reference_lowess, windowed_lowess
@@ -254,17 +253,25 @@ def test_lowess_is_the_bisection_kernel_on_quantile_knots(seed, step,
         assert_same_fit(fn, x, row, bandwidth)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(lowess_cases(), min_size=1, max_size=6), st.booleans())
-def test_lowess_each_is_lowess_of_each(cases, shared_span):
-    # ragged lengths; bandwidth 0 puts every fit at span 2, so their
-    # knots are reduced together
-    xs = [x for x, _, _, _ in cases]
-    ys = [y for _, y, _, _ in cases]
-    bandwidths = [0.0 if shared_span else b for _, _, b, _ in cases]
-    for fn, x, y, b in zip(lowess_each(xs, ys, bandwidths), xs, ys,
-                           bandwidths):
-        assert_same_fit(fn, x, y, b)
+def test_lowess_flattens_a_y_that_is_not_k_rows_of_n():
+    # only a (k, n) y, n the size of x, is k responses; an (n, 1) column
+    # or a 1-D y is one response, as before 2-D y existed
+    rng = np.random.default_rng(3)
+    x, y = rng.uniform(0.0, 1.0, size=12), rng.normal(size=12)
+    one = lowess(x, y, bandwidth=0.5)
+    for shaped in (y[:, None], y.reshape(3, 4), y[None, :, None]):
+        fn = lowess(x, shaped, bandwidth=0.5)
+        assert fn.values.tobytes() == one.values.tobytes()
+    (fn,) = lowess(x, y[None, :], bandwidth=0.5)
+    assert fn.values.tobytes() == one.values.tobytes()
+    with pytest.raises(DataError, match="equal length"):
+        lowess(x, np.vstack([y, y])[:, :-1])
+
+
+@pytest.mark.parametrize("x", [[], [1.0], [2.0, 2.0], [-0.0, 0.0]])
+def test_lowess_needs_two_distinct_x_values(x):
+    with pytest.raises(DataError, match="two distinct"):
+        lowess(x, np.zeros(len(x)))
 
 
 def test_lowess_rejects_a_non_finite_bandwidth():
