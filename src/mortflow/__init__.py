@@ -11,8 +11,8 @@ common path; the submodules expose every stage separately.
 from .artifact import load_model, model_from_dict, model_to_dict, save_model
 from .convergence import (RelaxationRates, compute_deviations, estimate_rates,
                           pooled_autocorr)
-from .data import (MortalityTensor, drop_country, tensor_from_csv,
-                   tensor_from_rows, truncate_tensor)
+from .data import (MortalityTensor, drop_country, pool_and_convert,
+                   tensor_from_csv, truncate_tensor)
 from .errors import (ArtifactError, CalibrationMissingError, ConfigError,
                      CsvFormatError, DataError, DomainError,
                      InsufficientDataError,
@@ -20,9 +20,8 @@ from .errors import (ArtifactError, CalibrationMissingError, ConfigError,
                      ShapeMismatchError, TailConfigError)
 from .evaluation import (CVConfig, CVRecord, GridResult, MetricReport,
                          calibrate_pi, candidate_origins, entry_state,
-                         grid_search, metric_report, read_records_csv,
-                         run_inclusive_cv, run_loco_cv, write_grid_csv,
-                         write_metrics_json, write_records_csv)
+                         grid_search, metric_report, run_inclusive_cv,
+                         run_loco_cv, write_grid_csv, write_records_csv)
 from .flowfield import (FlowField, derivative_correlations, fit_flowfield,
                         series_from_fit)
 from .forecast import (CountryState, ForecastConfig, ForecastResult,
@@ -61,11 +60,10 @@ __all__ = [
     "fit_flowfield", "fit_model", "full_reconstruction", "generate",
     "grid_search", "hosvd", "inverse", "jumpoff_residual", "life_table_e0",
     "load_model", "logit", "lowess", "metric_report", "model_from_dict",
-    "model_to_dict", "pooled_autocorr", "project_schedule",
-    "read_records_csv", "reconstruct_schedule", "run_forecast",
+    "model_to_dict", "pool_and_convert", "pooled_autocorr",
+    "project_schedule", "reconstruct_schedule", "run_forecast",
     "run_forecasts", "run_inclusive_cv", "run_loco_cv", "save_model", "scores",
-    "series_from_fit", "survivorship", "tensor_from_csv", "tensor_from_rows",
+    "series_from_fit", "survivorship", "tensor_from_csv",
     "tier1_state", "tier2_state", "truncate_tensor", "write_grid_csv",
-    "write_metrics_json", "write_records_csv", "write_schedule_csv",
-    "write_summary_csv",
+    "write_records_csv", "write_schedule_csv", "write_summary_csv",
 ]

@@ -3,9 +3,9 @@
 The pipeline consumes a 4-way tensor of logit death probabilities
 (sex x age x country x year) with a country-by-year observation mask.
 This module owns the way raw rows become that tensor: parsing them into
-typed columns, pooling counts into temporal bins, converting central
-rates to clamped logit probabilities, and writing the pooled block
-straight into the tensor's country columns along a dense year axis.
+typed columns, pooling the rows of each (country, year) cell, converting
+central rates to clamped logit probabilities, and writing the pooled
+schedules straight into the tensor along a dense year axis.
 
 A CSV body is read by numpy's C tokenizer, and a file the tokenizer or
 its bulk checks reject is read again by the row parser (csv.reader
@@ -190,42 +190,28 @@ def mx_to_qx(mx):
     return out if out.ndim else float(out)
 
 
-def qx_to_mx(qx):
-    """Inverse of mx_to_qx."""
-    qx = np.asarray(qx, dtype=float)
-    out = qx / (1.0 - qx / 2.0)
-    return out if out.ndim else float(out)
-
-
 def clamp_qx(qx):
     return np.clip(qx, QX_EPS, 1.0 - QX_EPS)
 
 
-def pool_and_convert(rows, bin_plan=None, n_ages=None):
-    """Pool rows into temporal bins and convert to logit probabilities.
+def pool_and_convert(rows, n_ages=None):
+    """Pool rows by (country, year) and convert to logit probabilities.
 
     Parameters
     ----------
     rows : RawTable, or an iterable of RawSeries
-    bin_plan : list of (start, end) inclusive year pairs, optional
-        Defaults to one bin per observed year.  A row joins the first bin
-        in plan order that holds its year; rows in no bin are dropped.
-        A bin matching no rows at all raises MissingDataError; a country
-        simply absent from a bin yields no schedule there.
     n_ages : int, optional
         Top of the age grid.  Defaults to the highest observed age plus
-        one, capped at 110.  Higher ages are dropped.
+        one, capped at 110.  Higher ages are dropped; a year left with no
+        row below the top raises MissingDataError.
 
     Returns
     -------
     MortalityTensor
         Countries are the sorted names that hold a pooled rate, and years
-        run densely from the first to the last year of the bins holding
-        one.  A multi-year bin writes its pooled schedule at every year
-        of its span; a later bin in the plan rewrites the years it
-        shares.  The mask is true where a schedule is finite for both
-        sexes at every age.  ``tensor_from_rows`` is another name for
-        this function.
+        run densely from the first to the last year holding one.  The
+        mask is true where a schedule is finite for both sexes at every
+        age.
 
     Notes
     -----
@@ -241,25 +227,14 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
     ages = np.arange(n_ages)
 
     years, year_of_row = np.unique(table.year, return_inverse=True)
-    if bin_plan is None:
-        bin_plan = [(y, y) for y in years.tolist()]
-    # a repeated bin pools the same rows again: pool each span once
-    index = {span: k for k, span in enumerate(dict.fromkeys(bin_plan))}
-    spans = list(index)
-    # first match wins: earlier bins overwrite later ones
-    bin_of_year = np.full(years.size, len(spans))
-    for k in range(len(spans) - 1, -1, -1):
-        bin_of_year[np.searchsorted(years, spans[k][0], "left"):
-                    np.searchsorted(years, spans[k][1], "right")] = k
-    bin_of_row = bin_of_year[year_of_row]
-    keep = (table.age < n_ages) & (bin_of_row < len(spans))
+    keep = table.age < n_ages
 
-    # one cell per (bin, country) in bin order, countries by name within
+    # one cell per (year, country) in year order, countries by name within
     n_countries = len(table.countries)
     by_name = sorted(range(n_countries), key=table.countries.__getitem__)
     rank = np.argsort(by_name)
     cells, cell_of_row = np.unique(
-        bin_of_row[keep] * n_countries + rank[table.country[keep]],
+        year_of_row[keep] * n_countries + rank[table.country[keep]],
         return_inverse=True)
     slot = (cell_of_row * 2 + table.sex[keep]) * n_ages + table.age[keep]
     rate = ~np.isnan(table.mx[keep])
@@ -275,18 +250,19 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
     exposure = total(~rate, table.exposure[keep][~rate])
     have_counts = total(~rate) > 0
 
-    # the first failure in (bin, country) order raises, as a loop would
-    cell_bin = cells // n_countries
+    # the first failure in (year, country) order raises, as a loop would
+    cell_year = cells // n_countries
     mixed = (have_counts & (mx_cnt > 0)).any(axis=(1, 2))
     degenerate = (have_counts & (exposure == 0)).any(axis=(1, 2))
-    empty = np.setdiff1d(np.arange(len(spans)), cell_bin)
+    empty = np.setdiff1d(np.arange(years.size), cell_year)
     bad = np.flatnonzero(mixed | degenerate)
-    if empty.size and (not bad.size or empty[0] < cell_bin[bad[0]]):
-        raise MissingDataError(f"bin {spans[empty[0]]} contains no observations")
+    if empty.size and (not bad.size or empty[0] < cell_year[bad[0]]):
+        raise MissingDataError(f"year {years[empty[0]]} has no rows below "
+                               f"age {n_ages}")
     if bad.size:
         p = bad[0]
         country = table.countries[by_name[cells[p] % n_countries]]
-        where = f"{country} bin {spans[cell_bin[p]]}"
+        where = f"{country} year {years[cell_year[p]]}"
         if mixed[p]:
             raise DataError(
                 f"{where}: cell mixes mx and deaths/exposure rows")
@@ -301,32 +277,19 @@ def pool_and_convert(rows, bin_plan=None, n_ages=None):
     with np.errstate(invalid="ignore"):
         lq = logit(np.where(finite, clamp_qx(mx_to_qx(mx)), np.nan))
 
-    # cells whose rates all overflowed to inf write nothing; an empty
-    # plan, or one whose cells all overflowed, leaves no tensor
+    # cells whose rates all overflowed to inf write nothing, and a pool
+    # whose cells all overflowed leaves no tensor
     kept = np.flatnonzero(finite.any(axis=(1, 2)))
     if not kept.size:
         raise MissingDataError("no schedules supplied")
     names, column = np.unique(cells[kept] % n_countries, return_inverse=True)
-    bins = cell_bin[kept]
-    held = [spans[k] for k in np.unique(bins).tolist()]
-    first = int(min(span[0] for span in held))
-    last = int(max(span[1] for span in held))
+    held = years[cell_year[kept]]  # in year order, as the cells are
+    first, last = int(held[0]), int(held[-1])
     values = np.full((2, n_ages, names.size, last - first + 1), np.nan)
     mask = np.zeros((names.size, last - first + 1), dtype=bool)
     block = lq[kept].transpose(1, 2, 0)
-    complete = np.isfinite(block).all(axis=(0, 1))
-
-    # bin order, as a loop over the plan fills it: a later bin, or a
-    # repeat of an earlier one, rewrites the years it shares
-    bounds = np.searchsorted(bins, np.arange(len(spans) + 1))
-    for span in bin_plan:
-        k = index[span]
-        if bounds[k] == bounds[k + 1]:
-            continue
-        here = slice(bounds[k], bounds[k + 1])
-        span_years = slice(span[0] - first, span[1] - first + 1)
-        values[:, :, column[here], span_years] = block[:, :, here, None]
-        mask[column[here], span_years] = complete[here, None]
+    values[:, :, column, held - first] = block
+    mask[column, held - first] = np.isfinite(block).all(axis=(0, 1))
     return MortalityTensor(
         values=values, mask=mask,
         countries=tuple(table.countries[by_name[r]] for r in names.tolist()),
@@ -356,11 +319,8 @@ def drop_country(tensor, country):
                            ages=tensor.ages)
 
 
-tensor_from_rows = pool_and_convert
-
-
-def tensor_from_csv(path, bin_plan=None, n_ages=None):
-    return pool_and_convert(read_csv(path), bin_plan=bin_plan, n_ages=n_ages)
+def tensor_from_csv(path):
+    return pool_and_convert(read_csv(path))
 
 
 def read_csv(path):
@@ -583,35 +543,3 @@ class _BlockParser:
             carried[name] if name in carried else np.full(n, np.nan)
             for name in _VALUES])
 
-
-def suggest_bins(rows, min_deaths=50):
-    """Merge consecutive years until each bin holds at least min_deaths.
-
-    Deaths are pooled across all provided rows, so pass one country's rows
-    for a per-country plan.  A trailing shortfall merges into the previous
-    bin when one exists.  Rows without death counts contribute nothing.
-    """
-    deaths_by_year = {}
-    for r in rows:
-        deaths_by_year.setdefault(r.year, 0.0)
-        if r.deaths is not None:
-            deaths_by_year[r.year] += r.deaths
-    years = sorted(deaths_by_year)
-    if not years:
-        raise MissingDataError("no rows supplied")
-    plan = []
-    start, acc = None, 0.0
-    for y in years:
-        if start is None:
-            start, acc = y, 0.0
-        acc += deaths_by_year[y]
-        if acc >= min_deaths:
-            plan.append((start, y))
-            start = None
-    if start is not None:
-        if plan:
-            prev = plan.pop()
-            plan.append((prev[0], years[-1]))
-        else:
-            plan.append((start, years[-1]))
-    return plan

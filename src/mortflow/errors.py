@@ -30,11 +30,11 @@ class CVConfigError(ConfigError, DataError):
 
 
 class MissingDataError(DataError):
-    """A requested bin or slice contains no observations."""
+    """A requested year or slice contains no observations."""
 
 
 class DegenerateExposureError(DataError):
-    """Total exposure in a bin is zero, so no rate can be formed."""
+    """Total exposure in a (country, year) cell is zero: no rate exists."""
 
 
 class ShapeMismatchError(DataError):

@@ -10,7 +10,6 @@ and scale factors that the forecast layer needs for interval bands.
 """
 
 import csv
-import json
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -563,26 +562,6 @@ def write_records_csv(records, path):
                              repr(r.e0_hat), repr(r.e0_obs), repr(r.err)])
 
 
-def read_records_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != RECORD_COLUMNS:
-            raise DataError(f"{path}: expected header "
-                            f"{','.join(RECORD_COLUMNS)}")
-        records = []
-        for row in reader:
-            if len(row) != len(RECORD_COLUMNS):
-                raise DataError(f"{path}: row {reader.line_num} has "
-                                f"{len(row)} fields")
-            records.append(CVRecord(country=row[0], origin=int(row[1]),
-                                    horizon=int(row[2]),
-                                    e0_hat=float(row[3]),
-                                    e0_obs=float(row[4]),
-                                    err=float(row[5])))
-    return records
-
-
 def write_grid_csv(result, path):
     table = result.table if isinstance(result, GridResult) else result
     with open(path, "w", newline="") as fh:
@@ -592,8 +571,3 @@ def write_grid_csv(result, path):
             writer.writerow([repr(row["w"]), repr(row["tau"]),
                              repr(row["mae"]), row["n"]])
 
-
-def write_metrics_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

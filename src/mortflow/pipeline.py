@@ -91,8 +91,9 @@ class FitConfig:
             object.__setattr__(self, f.name, value)
         if self.n_components < 1:
             raise ConfigError("n_components must be at least 1")
-        check_settings(self, ("tau", "window", "bandwidth", "tail_delta",
-                              "tail_blend", "max_lag"), ConfigError)
+        check_settings(self, ("tau", "window", "bandwidth", "transition_e0",
+                              "tail_delta", "tail_blend", "max_lag"),
+                       ConfigError)
 
     def to_dict(self):
         d = asdict(self)

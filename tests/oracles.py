@@ -400,12 +400,12 @@ def reference_deviations(ff, series_by_country):
     return speed, tuple(structural)
 
 
-def reference_pool(rows, bin_plan=None, n_ages=None):
+def reference_pool(rows, n_ages=None):
     """Pooling by the row-by-row loop ``data.pool_and_convert`` replaced.
 
     Rows are RawSeries.  Returns (country, year) -> (2, n_ages) logit_qx,
-    in the order the loop fills it, and raises the same errors, with the
-    same messages, as the loop did.  reference_tensor lays it out.
+    in the order the loop fills it, and raises the errors, with the
+    messages, that pool_and_convert raises.  reference_tensor lays it out.
     """
     from mortflow.errors import (DataError, DegenerateExposureError,
                                  MissingDataError)
@@ -426,23 +426,17 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
 
     if n_ages is None:
         n_ages = min(max(r.age for r in rows) + 1, 110)
-    if bin_plan is None:
-        bin_plan = [(y, y) for y in sorted({r.year for r in rows})]
 
-    by_bin = {span: [] for span in bin_plan}
+    by_year = {year: [] for year in sorted({r.year for r in rows})}
     for r in rows:
-        if r.age >= n_ages:
-            continue
-        for span in bin_plan:
-            if span[0] <= r.year <= span[1]:
-                by_bin[span].append(r)
-                break
+        if r.age < n_ages:
+            by_year[r.year].append(r)
 
     schedules = {}
-    for span in bin_plan:
-        members = by_bin[span]
+    for year, members in by_year.items():
         if not members:
-            raise MissingDataError(f"bin {span} contains no observations")
+            raise MissingDataError(f"year {year} has no rows below age "
+                                   f"{n_ages}")
         for country in sorted({r.country for r in members}):
             deaths = np.zeros((2, n_ages))
             exposure = np.zeros((2, n_ages))
@@ -462,11 +456,11 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
                     have_counts[s, r.age] = True
             if np.any(have_counts & (mx_cnt > 0)):
                 raise DataError(
-                    f"{country} bin {span}: cell mixes mx and deaths/exposure "
-                    "rows")
+                    f"{country} year {year}: cell mixes mx and "
+                    "deaths/exposure rows")
             if np.any(have_counts & (exposure == 0)):
                 raise DegenerateExposureError(
-                    f"{country} bin {span}: zero total exposure")
+                    f"{country} year {year}: zero total exposure")
             mx = np.full((2, n_ages), np.nan)
             with np.errstate(invalid="ignore", divide="ignore"):
                 mx = np.where(have_counts,
@@ -481,8 +475,7 @@ def reference_pool(rows, bin_plan=None, n_ages=None):
                           np.nan)
             with np.errstate(invalid="ignore"):
                 lq = logit(qx)
-            for year in range(span[0], span[1] + 1):
-                schedules[(country, year)] = lq
+            schedules[(country, year)] = lq
     return schedules
 
 

@@ -236,6 +236,7 @@ def test_load_rejects_blocks_that_disagree_on_a_size(fitted, tmp_path, check):
 
 @pytest.mark.parametrize("key, value", [
     ("seed", -1), ("bandwidth", 0.0), ("tail_blend", -3.0), ("max_lag", 0),
+    ("transition_e0", float("nan")),
 ])
 def test_load_rejects_an_out_of_range_config(fitted, tmp_path, key, value):
     # the hash is recomputed, so only the range check can refuse the file

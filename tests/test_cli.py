@@ -156,6 +156,20 @@ def test_fit_too_little_history_exits_3(data_csv, workdir):
     assert rc == 3
 
 
+def test_fit_a_year_with_no_row_below_the_age_grid_exits_3(workdir, capsys):
+    # age 110 is the top of the grid, so 2011's rows all drop out
+    path = workdir / "top_age_year.csv"
+    lines = ["country,sex,age,year,mx"]
+    lines += [f"A,{sex},{age},2010,0.01" for sex in "fm" for age in (0, 1)]
+    lines += [f"A,{sex},110,2011,0.5" for sex in "fm"]
+    path.write_text("\n".join(lines) + "\n")
+    rc = main(["fit", "--input", str(path),
+               "--out", str(workdir / "never.json")])
+    assert rc == 3
+    assert capsys.readouterr().err == \
+        "error: year 2011 has no rows below age 110\n"
+
+
 # -------------------------------------------------------------- forecast
 
 

@@ -14,11 +14,8 @@ from mortflow.data import (
     RawTable,
     mx_to_qx,
     pool_and_convert,
-    qx_to_mx,
     read_csv,
-    suggest_bins,
     tensor_from_csv,
-    tensor_from_rows,
 )
 from mortflow.errors import (
     CsvFormatError,
@@ -42,7 +39,8 @@ def rows_for(country, year, mx_f, mx_m):
 
 def pooled_mx(tensor, c=0, t=0):
     """The (2, A) central rates that one tensor cell's logit qx encodes."""
-    return qx_to_mx(expit(tensor.values[:, :, c, t]))
+    qx = expit(tensor.values[:, :, c, t])
+    return qx / (1.0 - qx / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +52,8 @@ def test_mx_to_qx_arithmetic():
     assert mx_to_qx(0.0) == 0.0
     # inverse round trip
     for mx in (1e-6, 0.01, 0.5, 1.9):
-        assert qx_to_mx(mx_to_qx(mx)) == pytest.approx(mx, rel=1e-12)
+        qx = mx_to_qx(mx)
+        assert qx / (1.0 - qx / 2.0) == pytest.approx(mx, rel=1e-12)
 
 
 def test_pooled_logit_value():
@@ -110,34 +109,38 @@ def test_zero_exposure_raises():
 
 
 def test_explicit_empty_bin_raises():
-    rows = rows_for("X", 2000, [0.01], [0.02])
-    with pytest.raises(MissingDataError):
-        pool_and_convert(rows, bin_plan=[(2000, 2000), (2005, 2006)])
+    # each year is one pooling bin: a year whose rows all sit at or above
+    # n_ages is left empty, and the error names it
+    rows = (rows_for("X", 2000, [0.01, 0.02], [0.02, 0.03])
+            + [r for r in rows_for("X", 2001, [0.01, 0.02], [0.02, 0.03])
+               if r.age == 1])
+    for pool in (pool_and_convert, reference_pool_and_convert):
+        with pytest.raises(MissingDataError,
+                           match=r"^year 2001 has no rows below age 1$"):
+            pool(rows, n_ages=1)
 
 
-def test_multi_year_bin_replicates_schedule():
-    rows = rows_for("X", 2000, [0.010], [0.020]) + rows_for("X", 2001, [0.030], [0.040])
-    tensor = pool_and_convert(rows, bin_plan=[(2000, 2001)])
-    np.testing.assert_array_equal(tensor.years, [2000, 2001])
-    np.testing.assert_array_equal(tensor.mask, [[True, True]])
-    a, b = tensor.values[..., 0, 0], tensor.values[..., 0, 1]
-    assert a.tobytes() == b.tobytes()
-    # mx input pools by unweighted mean within the bin
-    mx = pooled_mx(tensor)
-    assert mx[0, 0] == pytest.approx(0.020)
-    assert mx[1, 0] == pytest.approx(0.030)
+def test_duplicate_mx_rows_pool_as_an_unweighted_mean():
+    rows = rows_for("X", 2000, [0.010], [0.020]) + rows_for("X", 2000, [0.030],
+                                                            [0.040])
+    tensor = pool_and_convert(rows)
+    np.testing.assert_array_equal(tensor.mask, [[True]])
+    np.testing.assert_allclose(pooled_mx(tensor), [[0.020], [0.030]],
+                               rtol=1e-12)
 
 
 def test_deaths_input_pools_by_ratio_of_sums():
+    # same-year duplicates: 10/100 and 0/900 pool to 10/1000, not to the
+    # mean rate 0.05
     rows = [
         RawSeries(country="X", sex="f", age=0, year=2000, deaths=10.0, exposure=100.0),
-        RawSeries(country="X", sex="f", age=0, year=2001, deaths=0.0, exposure=900.0),
+        RawSeries(country="X", sex="f", age=0, year=2000, deaths=0.0, exposure=900.0),
         RawSeries(country="X", sex="m", age=0, year=2000, deaths=5.0, exposure=100.0),
-        RawSeries(country="X", sex="m", age=0, year=2001, deaths=5.0, exposure=900.0),
+        RawSeries(country="X", sex="m", age=0, year=2000, deaths=5.0, exposure=900.0),
     ]
-    mx = pooled_mx(pool_and_convert(rows, bin_plan=[(2000, 2001)]))
-    assert mx[0, 0] == pytest.approx(10.0 / 1000.0)
-    assert mx[1, 0] == pytest.approx(10.0 / 1000.0)
+    mx = pooled_mx(pool_and_convert(rows))
+    assert mx[0, 0] == pytest.approx(10.0 / 1000.0, rel=1e-12)
+    assert mx[1, 0] == pytest.approx(10.0 / 1000.0, rel=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +151,7 @@ def test_tensor_dense_years_and_mask():
     rows = (rows_for("A", 2000, [0.01, 0.02], [0.02, 0.03])
             + rows_for("A", 2003, [0.01, 0.02], [0.02, 0.03])
             + rows_for("B", 2001, [0.05, 0.06], [0.07, 0.08]))
-    tensor = tensor_from_rows(rows)
+    tensor = pool_and_convert(rows)
     assert tensor.countries == ("A", "B")
     np.testing.assert_array_equal(tensor.years, [2000, 2001, 2002, 2003])
     assert tensor.values.shape == (2, 2, 2, 4)
@@ -164,15 +167,15 @@ def test_incomplete_schedule_masked_out():
     # year 2001 lacks age 1 for males
     rows += rows_for("A", 2001, [0.01, 0.02], [0.02, 0.03])
     rows = [r for r in rows if not (r.year == 2001 and r.sex == "m" and r.age == 1)]
-    tensor = tensor_from_rows(rows)
+    tensor = pool_and_convert(rows)
     np.testing.assert_array_equal(tensor.mask[0], [True, False])
 
 
 def test_row_order_does_not_matter():
     rows = (rows_for("A", 2000, [0.01, 0.02], [0.02, 0.03])
             + rows_for("B", 2001, [0.05, 0.06], [0.07, 0.08]))
-    t1 = tensor_from_rows(rows)
-    t2 = tensor_from_rows(rows[::-1])
+    t1 = pool_and_convert(rows)
+    t2 = pool_and_convert(rows[::-1])
     np.testing.assert_array_equal(t1.mask, t2.mask)
     np.testing.assert_array_equal(t1.values[np.isfinite(t1.values)],
                                   t2.values[np.isfinite(t2.values)])
@@ -181,7 +184,7 @@ def test_row_order_does_not_matter():
 
 def test_age_grid_truncation():
     rows = rows_for("A", 2000, [0.01, 0.02, 0.03], [0.02, 0.03, 0.04])
-    tensor = tensor_from_rows(rows, n_ages=2)
+    tensor = pool_and_convert(rows, n_ages=2)
     assert tensor.values.shape[1] == 2
 
 
@@ -241,39 +244,9 @@ def test_tensor_from_csv_round_trip(tmp_path):
         lines.append(f"{r.country},{r.sex},{r.age},{r.year},{r.mx}")
     p.write_text("\n".join(lines) + "\n")
     t1 = tensor_from_csv(p)
-    t2 = tensor_from_rows(rows)
+    t2 = pool_and_convert(rows)
     np.testing.assert_array_equal(t1.values[np.isfinite(t1.values)],
                                   t2.values[np.isfinite(t2.values)])
-
-
-# ----------------------------------------------------------------------
-# Adaptive binning helper
-# ----------------------------------------------------------------------
-
-def make_death_rows(yearly_deaths, start=2000):
-    return [
-        RawSeries(country="X", sex="f", age=0, year=start + i,
-                  deaths=float(d), exposure=1000.0)
-        for i, d in enumerate(yearly_deaths)
-    ]
-
-
-def test_suggest_bins_accumulates_to_threshold():
-    plan = suggest_bins(make_death_rows([30, 30, 30, 100]), min_deaths=50)
-    assert plan == [(2000, 2001), (2002, 2003)]
-
-
-def test_suggest_bins_trailing_shortfall_merges_back():
-    plan = suggest_bins(make_death_rows([100, 30]), min_deaths=50)
-    assert plan == [(2000, 2001)]
-    # no earlier bin to absorb the shortfall: keep the leftover bin
-    plan = suggest_bins(make_death_rows([30, 10]), min_deaths=50)
-    assert plan == [(2000, 2001)]
-
-
-def test_suggest_bins_rich_years_stay_single():
-    plan = suggest_bins(make_death_rows([80, 90, 100]), min_deaths=50)
-    assert plan == [(2000, 2000), (2001, 2001), (2002, 2002)]
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +260,7 @@ def pooled_or_error(pool, rows, **kwargs):
         return type(exc), str(exc)
 
 
-def reference_tensor_from_rows(rows, **kwargs):
+def reference_pool_and_convert(rows, **kwargs):
     return reference_tensor(reference_pool(rows, **kwargs))
 
 
@@ -324,53 +297,30 @@ def pooling_cases(draw):
                                       [0.0, 1.0, 250.0, 1e4]) | value)))
     rows += draw(st.lists(st.sampled_from(rows), max_size=10))  # duplicates
     rows = draw(st.permutations(rows))
-    # drawn from a few spans as well, so that plans repeat and overlap
-    span = st.tuples(st.integers(1999, 2005), st.integers(0, 3)).map(
-        lambda p: (p[0], p[0] + p[1]))
-    bin_plan = draw(st.none() | st.lists(
-        span | st.sampled_from([(2000, 2000), (2000, 2002), (2001, 2004)]),
-        min_size=1, max_size=5))
     n_ages = draw(st.none() | st.integers(1, 6))
-    return rows, bin_plan, n_ages
+    return rows, n_ages
 
 
 @settings(max_examples=300, deadline=None)
 @given(pooling_cases())
 def test_pooling_matches_row_loop_reference_bit_for_bit(case):
-    # overlapping and multi-year bins, ages above n_ages, duplicate rows,
-    # shuffled order, mixed layouts: the same tensor as the loop's
-    # schedules laid out, or the same first error
-    rows, bin_plan, n_ages = case
-    want = pooled_or_error(reference_tensor_from_rows, rows,
-                           bin_plan=bin_plan, n_ages=n_ages)
+    # ages above n_ages, duplicate rows, shuffled order, mixed layouts:
+    # the same tensor as the loop's schedules laid out, or the same first
+    # error with the same message
+    rows, n_ages = case
+    want = pooled_or_error(reference_pool_and_convert, rows, n_ages=n_ages)
     for given_rows in (rows, RawTable.from_rows(rows)):
-        got = pooled_or_error(pool_and_convert, given_rows,
-                              bin_plan=bin_plan, n_ages=n_ages)
+        got = pooled_or_error(pool_and_convert, given_rows, n_ages=n_ages)
         assert_same_tensor(got, want)
 
 
-def test_repeated_bin_rewrites_its_years_where_the_plan_repeats_it():
-    rows = rows_for("X", 2000, [0.01], [0.02]) + rows_for("X", 2001, [0.03],
-                                                          [0.04])
-    plan = [(2001, 2001), (2000, 2001), (2001, 2001)]
-    tensor = pool_and_convert(rows, bin_plan=plan)
-    # 2000 keeps the (2000, 2001) bin, which holds only 2000's rows (2001's
-    # joined the first bin); the repeat of (2001, 2001) rewrites 2001
-    np.testing.assert_allclose(pooled_mx(tensor, t=0), [[0.01], [0.02]])
-    np.testing.assert_allclose(pooled_mx(tensor, t=1), [[0.03], [0.04]])
-    assert_same_tensor(tensor, reference_tensor_from_rows(rows,
-                                                          bin_plan=plan))
-
-
 def test_a_pool_that_leaves_no_rate_raises():
-    # an empty plan pools nothing; rates that overflow to inf keep no cell
-    rows = rows_for("X", 2000, [0.01], [0.02])
+    # rates that overflow to inf keep no cell
     huge = rows_for("X", 2000, [1e308], [1e308]) * 2
-    for given, plan in ((rows, []), (huge, None)):
-        for pool in (pool_and_convert, reference_tensor_from_rows):
-            with pytest.raises(MissingDataError, match="no schedules"), \
-                    np.errstate(over="ignore"):
-                pool(given, bin_plan=plan)
+    for pool in (pool_and_convert, reference_pool_and_convert):
+        with pytest.raises(MissingDataError, match="no schedules"), \
+                np.errstate(over="ignore"):
+            pool(huge)
 
 
 def test_csv_round_trip_reproduces_the_world_tensor(tmp_path):

@@ -1,4 +1,4 @@
-import json
+import csv
 import random
 import sys
 from collections import Counter
@@ -25,11 +25,9 @@ from mortflow.evaluation import (
     entry_state,
     grid_search,
     metric_report,
-    read_records_csv,
     run_inclusive_cv,
     run_loco_cv,
     write_grid_csv,
-    write_metrics_json,
     write_records_csv,
 )
 from mortflow.forecast import tier2_state
@@ -478,21 +476,18 @@ def test_records_csv_round_trip(tmp_path):
     write_records_csv(records, path)
     text = path.read_text()
     assert text.splitlines()[0] == "country,origin,h,e0_hat,e0_obs,err"
-    back = read_records_csv(path)
-    assert [(r.country, r.origin, r.horizon, r.e0_hat, r.e0_obs, r.err)
-            for r in back] == \
+    with open(path, newline="") as fh:
+        back = list(csv.reader(fh))[1:]
+    # every float reads back exactly
+    assert [(c, int(o), int(h), float(a), float(b), float(e))
+            for c, o, h, a, b, e in back] == \
            [(r.country, r.origin, r.horizon, r.e0_hat, r.e0_obs, r.err)
             for r in records]
 
 
-def test_records_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("country,origin,h\nX,2000,1\n")
-    with pytest.raises(DataError, match="header"):
-        read_records_csv(path)
-
-
 def test_grid_csv_and_metrics_json(tmp_path):
+    # the metrics JSON half is checked on `mortflow cv`'s output in
+    # test_cli.py: cmd_cv is its only writer
     table = [{"w": 1.0, "tau": 12.0, "mae": 0.5, "n": 10},
              {"w": 0.5, "tau": 20.0, "mae": 0.75, "n": 10}]
     grid_path = tmp_path / "grid.csv"
@@ -500,11 +495,6 @@ def test_grid_csv_and_metrics_json(tmp_path):
     lines = grid_path.read_text().splitlines()
     assert lines[0] == "w,tau,mae,n"
     assert len(lines) == 3
-
-    report = metric_report(make_records([0.1, -0.2], [1, 2]))
-    json_path = tmp_path / "metrics.json"
-    write_metrics_json(report, json_path)
-    assert json.loads(json_path.read_text()) == report.to_dict()
 
 
 def test_entry_state_takes_the_origin_from_the_projected_history(cv_world):

@@ -45,6 +45,8 @@ def test_fit_config_serialises_declared_types():
     ("seed", -1), ("tau", 0.0), ("tau", float("nan")), ("window", -40.0),
     ("bandwidth", 0.0), ("bandwidth", float("inf")), ("tail_delta", 0.0),
     ("tail_blend", float("nan")), ("max_lag", 0),
+    ("transition_e0", float("nan")), ("transition_e0", float("inf")),
+    ("transition_e0", -5.0),
 ])
 def test_fit_config_rejects_out_of_range_settings(name, value):
     with pytest.raises(ConfigError, match=name):
