@@ -9,8 +9,8 @@ also calibrate the prediction intervals.
 
 import numpy as np
 
-from mortflow import (CVConfig, SyntheticSpec, calibrate_pi, generate,
-                      grid_search, metric_report, run_loco_cv)
+from mortflow import (CVConfig, FitConfig, SyntheticSpec, calibrate_pi,
+                      generate, grid_search, metric_report, run_loco_cv)
 
 world = generate(SyntheticSpec(n_countries=6, n_ages=24, n_years=70,
                                stagger=4, obs_noise=0.003,
@@ -27,8 +27,8 @@ best = grid.best
 print(f"winner: w {best['w']:.1f}, tau {best['tau']:.0f}")
 
 # Stage 2: strict leave-country-out at the winning setting.
-strict = CVConfig(horizon=20, origin_spacing=10, schedules=False,
-                  w=best["w"], tau=best["tau"])
+strict = CVConfig(fit=FitConfig(tau=best["tau"]), horizon=20,
+                  origin_spacing=10, schedules=False, w=best["w"])
 records = run_loco_cv(world.tensor, strict)
 mae = float(np.mean([abs(r.err) for r in records]))
 print(f"\nstrict LOCO: {len(records)} forecasts, e0 MAE {mae:.3f} years")

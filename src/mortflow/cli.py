@@ -53,6 +53,10 @@ EXIT_INTERNAL = 4
 USAGE_ERRORS = (RankError, CalibrationMissingError, ConfigError,
                 CsvFormatError, TailConfigError, UnicodeError)
 
+# The fit flags that fit and cv share, and the FitConfig field of each.
+FIT_FLAGS = (("ranks", "ranks"), ("pcs", "n_components"),
+             ("window", "window"), ("seed", "seed"))
+
 
 class UsageError(Exception):
     """A flag value the command cannot act on."""
@@ -89,10 +93,23 @@ def _print_fit_report(fitted):
               f"half-life={half_life(alpha):.1f} yr")
 
 
+def _fit_config(args, fitted=None):
+    """FitConfig's defaults, or the settings of ``fitted``, with the
+    FIT_FLAGS given; a flag that disagrees with ``fitted`` is an error."""
+    base = FitConfig() if fitted is None else fitted.config
+    config = replace(base, **{name: getattr(args, flag)
+                              for flag, name in FIT_FLAGS
+                              if getattr(args, flag) is not None})
+    for flag, name in FIT_FLAGS:
+        asked, saved = getattr(config, name), getattr(base, name)
+        if fitted is not None and asked != saved:
+            raise UsageError(f"--{flag} {asked} disagrees with the model's "
+                             f"{name} {saved}")
+    return config
+
+
 def cmd_fit(args):
-    config = FitConfig(ranks=args.ranks, n_components=args.pcs,
-                       tau=args.tau, window=args.window, seed=args.seed,
-                       origin=args.origin)
+    config = replace(_fit_config(args), tau=args.tau, origin=args.origin)
     tensor = tensor_from_csv(args.input)
     fitted = fit_model(tensor, config)
     save_model(fitted, args.out)
@@ -173,13 +190,13 @@ def cmd_forecast(args):
 
 
 def cmd_cv(args):
-    config = CVConfig(ranks=args.ranks, n_components=args.pcs,
-                      tau=CVConfig.tau if args.tau is None else args.tau,
-                      window=args.window,
-                      w=CVConfig.w if args.w is None else args.w,
+    fitted = load_model(args.model) if args.model else None
+    fit = replace(_fit_config(args, fitted), origin=None)
+    if args.tau is not None:
+        fit = replace(fit, tau=args.tau)
+    config = CVConfig(fit=fit, w=CVConfig.w if args.w is None else args.w,
                       horizon=args.horizon, origin_spacing=args.spacing,
-                      min_train=args.min_train, seed=args.seed,
-                      jobs=args.jobs)
+                      min_train=args.min_train, jobs=args.jobs)
     tensor = tensor_from_csv(args.input)
     grid = None
     if not args.skip_grid:
@@ -189,10 +206,10 @@ def cmd_cv(args):
               f"tau={grid.best['tau']} mae={grid.best['mae']:.3f} "
               f"-> {args.out}_grid.csv")
         # grid winners fill in whatever the user left unpinned
-        config = replace(
-            config,
-            w=grid.best["w"] if args.w is None else config.w,
-            tau=grid.best["tau"] if args.tau is None else config.tau)
+        if args.tau is None:
+            fit = replace(fit, tau=grid.best["tau"])
+        config = replace(config, fit=fit,
+                         w=grid.best["w"] if args.w is None else config.w)
 
     records = (run_loco_cv(tensor, config) if args.strict_loco
                else run_inclusive_cv(tensor, config))
@@ -205,7 +222,7 @@ def cmd_cv(args):
     try:
         calibration = calibrate_pi(records)
     except InsufficientDataError as exc:
-        if args.model:
+        if fitted is not None:
             raise
         print(f"calibration skipped: {exc}", file=sys.stderr)
     payload = {
@@ -221,8 +238,7 @@ def cmd_cv(args):
     print(f"e0 mae={report.e0['mae']:.3f} bias={report.e0['bias']:+.3f} "
           f"-> {args.out}_metrics.json")
 
-    if args.model:
-        fitted = load_model(args.model)
+    if fitted is not None:
         fitted.calibration = calibration
         save_model(fitted, args.model)
         print(f"calibration (sigma1={calibration.sigma1:.3f}, "
@@ -260,17 +276,10 @@ def build_parser():
 
     fit = sub.add_parser("fit", help="fit a model from a mortality CSV")
     fit.add_argument("--input", required=True, help="mortality CSV")
-    fit.add_argument("--ranks", type=_ints, default=None,
-                     help="factor ranks, e.g. 2,42,46,100")
-    fit.add_argument("--pcs", type=int, default=FitConfig.n_components,
-                     help="score-space components")
     fit.add_argument("--tau", type=float, default=FitConfig.tau,
                      help="era half-life in years")
-    fit.add_argument("--window", type=float, default=FitConfig.window,
-                     help="era hard window in years")
     fit.add_argument("--origin", type=int, default=None,
                      help="fit origin year (default: last observed)")
-    fit.add_argument("--seed", type=int, default=FitConfig.seed)
     fit.add_argument("--out", default="model.json")
     fit.set_defaults(func=cmd_fit)
 
@@ -294,18 +303,15 @@ def build_parser():
     cv = sub.add_parser("cv", help="cross-validate, tune, and calibrate")
     cv.add_argument("--input", required=True, help="mortality CSV")
     cv.add_argument("--model", default=None,
-                    help="artifact to append the calibration block to")
+                    help="artifact to cross-validate and calibrate")
     cv.add_argument("--strict-loco", action="store_true",
                     help="refit without each held-out country")
     cv.add_argument("--skip-grid", action="store_true",
                     help="skip the (w, tau) grid search")
     cv.add_argument("--grid-w", type=_grid, default=GRID_W)
     cv.add_argument("--grid-tau", type=_grid, default=GRID_TAU)
-    cv.add_argument("--ranks", type=_ints, default=None)
-    cv.add_argument("--pcs", type=int, default=CVConfig.n_components)
     cv.add_argument("--tau", type=float, default=None,
                     help="pin the era half-life instead of tuning it")
-    cv.add_argument("--window", type=float, default=CVConfig.window)
     cv.add_argument("--w", type=float, default=None,
                     help="pin the blend weight instead of tuning it")
     cv.add_argument("--horizon", type=int, default=CVConfig.horizon)
@@ -314,10 +320,17 @@ def build_parser():
     cv.add_argument("--min-train", type=int, default=CVConfig.min_train)
     cv.add_argument("--jobs", type=int, default=CVConfig.jobs,
                     help="parallel workers (capped by MORTFLOW_THREADS)")
-    cv.add_argument("--seed", type=int, default=CVConfig.seed)
     cv.add_argument("--out", default="cv",
                     help="output prefix for _records/_grid/_metrics files")
     cv.set_defaults(func=cmd_cv)
+
+    for command in (fit, cv):  # the FIT_FLAGS; a flag left out is None
+        command.add_argument("--ranks", type=_ints,
+                             help="factor ranks, e.g. 2,42,46,100")
+        command.add_argument("--pcs", type=int, help="score-space components")
+        command.add_argument("--window", type=float,
+                             help="era hard window in years")
+        command.add_argument("--seed", type=int)
 
     synth = sub.add_parser("synth",
                            help="generate a synthetic mortality CSV")

@@ -12,8 +12,9 @@ and scale factors that the forecast layer needs for interval bands.
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
+from operator import index
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .forecast import (
 )
 from .lifetable import e0_by_sex, expit, observed_e0, survivorship
 from .pca import scores as core_scores
-from .pipeline import (FitConfig, check_settings, fit_basis, fit_model,
-                       fit_path_dynamics, fit_speed_dynamics)
+from .pipeline import (FitConfig, fit_basis, fit_model, fit_path_dynamics,
+                       fit_speed_dynamics)
 from .smoothing import lowess
 from .tucker import project_schedule, reconstruct_schedule
 
@@ -80,8 +81,9 @@ class CVRecord:
 
 @dataclass(frozen=True)
 class CVConfig:
-    """Cross-validation settings; fitting knobs mirror FitConfig.
+    """Cross-validation settings; ``fit`` is every refit's FitConfig.
 
+    ``fit`` leaves its origin unset: each refit sets its forecast origin.
     ``schedules`` keeps per-age log-mx errors and observed survivorship
     on each record so metric_report can weight by lx.  ``truth``
     selects the ground-truth e0: "raw" reads it off the held-out qx;
@@ -89,36 +91,36 @@ class CVConfig:
     schedule, which nets out basis misfit for diagnostics.
     """
 
-    ranks: tuple | None = None
-    n_components: int = 5
-    tau: float = 12.0
-    window: float = 40.0
+    fit: FitConfig = FitConfig()
     w: float = 1.0
     horizon: int = 50
     origin_spacing: int = 10
     min_train: int = 20
-    seed: int = 0
     jobs: int = 1
     schedules: bool = True
     truth: str = "raw"
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise CVConfigError("horizon must be at least 1")
-        if self.origin_spacing < 1:
-            raise CVConfigError("origin_spacing must be at least 1")
-        if self.min_train < 2:
-            raise CVConfigError("min_train must be at least 2")
+        for name in ("horizon", "origin_spacing", "min_train", "jobs"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, index(value))
+            except TypeError:
+                raise CVConfigError(
+                    f"{name} must be an integer, not {value!r}") from None
+        for name, least in (("horizon", 1), ("origin_spacing", 1),
+                            ("min_train", 2)):
+            if getattr(self, name) < least:
+                raise CVConfigError(f"{name} must be at least {least}")
+        if self.fit.origin is not None:
+            raise CVConfigError("fit.origin must be unset")
         if not 0.0 <= self.w <= 1.0:
             raise CVConfigError(f"blend weight {self.w} outside [0, 1]")
         if self.truth not in ("raw", "tucker"):
             raise CVConfigError(f"unknown truth source {self.truth!r}")
-        check_settings(self, ("tau", "window"), CVConfigError)
 
     def fit_config(self, origin):
-        shared = {f.name: getattr(self, f.name) for f in fields(FitConfig)
-                  if hasattr(self, f.name)}
-        return FitConfig(**shared, origin=int(origin))
+        return replace(self.fit, origin=int(origin))
 
 
 def candidate_origins(tensor, c, config):
@@ -356,7 +358,7 @@ def run_inclusive_cv(tensor, config=None):
     """
     config = config or CVConfig()
     (records,) = _inclusive_records(tensor, config, (config.w,),
-                                    (config.tau,),
+                                    (config.fit.tau,),
                                     _records_from_result).values()
     records.sort(key=lambda r: (r.country, r.origin, r.horizon))
     return records

@@ -13,6 +13,7 @@ reruns are bit-identical.
 import csv
 import io
 from dataclasses import dataclass, replace
+from operator import index
 
 import numpy as np
 
@@ -71,6 +72,11 @@ class ForecastConfig:
     horizon: int = 50
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "horizon", index(self.horizon))
+        except TypeError:
+            raise ConfigError(f"horizon must be an integer, not "
+                              f"{self.horizon!r}") from None
         if not 0.0 <= self.w <= 1.0:
             raise ConfigError(f"blend weight {self.w} outside [0, 1]")
         if self.horizon < 1:
@@ -211,6 +217,8 @@ def run_forecasts(model, pca, ff, states, config, w=None):
     one it gets alone, bit for bit.  Life expectancy never feeds back
     into the navigation.  Returns one ForecastResult per state.
     """
+    if not states:
+        return []
     rates = config.rates
     n = ff.n_components
     if len(rates.alpha_s) < n:

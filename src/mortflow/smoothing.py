@@ -9,6 +9,7 @@ line measured just inside the frontier.
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +38,6 @@ class SmoothFn:
 
     knots: np.ndarray
     values: np.ndarray
-    _xs: list = field(init=False, repr=False, compare=False)
-    _ys: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         knots = np.asarray(self.knots, dtype=float)
@@ -53,11 +52,14 @@ class SmoothFn:
             raise DataError("knots must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_xs", knots.tolist())
-        object.__setattr__(self, "_ys", values.tolist())
 
     def __call__(self, x):
         return np.interp(x, self.knots, self.values)
+
+    @cached_property
+    def _points(self):
+        """Knots and values as Python lists, built on the first ``at``."""
+        return self.knots.tolist(), self.values.tolist()
 
     def at(self, x):
         """The curve at one float x, as a float.
@@ -68,7 +70,7 @@ class SmoothFn:
         between knots the line through the left knot is tried first and,
         if it gives NaN, the one through the right.
         """
-        xs, ys = self._xs, self._ys
+        xs, ys = self._points
         if len(xs) == 1:
             return ys[0]
         if x != x:

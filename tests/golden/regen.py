@@ -30,7 +30,6 @@ import hashlib
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +120,8 @@ def compute(workdir, spec=SPEC, cv=True):
     }
     if cv:
         grid = grid_search(tensor)
-        config = replace(CVConfig(), w=grid.best["w"], tau=grid.best["tau"])
+        config = CVConfig(fit=FitConfig(tau=grid.best["tau"]),
+                          w=grid.best["w"])
         inclusive = run_inclusive_cv(tensor, config)
         strict = run_loco_cv(tensor, config)
         calibration = calibrate_pi(strict)

@@ -220,8 +220,8 @@ def test_criterion_10_self_consistency_cv():
     under half a year of e0 error, and the grid search is flat in the era
     half-life when the generator has no era structure."""
     t0 = time.perf_counter()
-    cv = CVConfig(horizon=20, w=1.0, schedules=False, origin_spacing=10,
-                  min_train=20, seed=0)
+    cv = CVConfig(fit=FitConfig(seed=0), horizon=20, w=1.0, schedules=False,
+                  origin_spacing=10, min_train=20)
 
     def world(seed):
         return generate(SyntheticSpec(n_countries=6, n_ages=24, n_years=70,

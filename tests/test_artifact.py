@@ -305,7 +305,7 @@ def test_load_rejects_a_trajectory_without_a_blend(fitted, tmp_path):
 
 
 def _explicit_origin_doc(tensor, origin):
-    config = CVConfig(n_components=3).fit_config(origin)
+    config = CVConfig(fit=FitConfig(n_components=3)).fit_config(origin)
     return model_to_dict(fit_model(tensor, config, clip_ranks=True))
 
 

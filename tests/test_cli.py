@@ -263,7 +263,7 @@ def test_cv_inclusive_writes_grid_records_metrics(split_csvs, workdir):
                           "err"]
     assert len(records) > 1
     payload = json.loads((workdir / "cv_metrics.json").read_text())
-    assert payload["config"]["seed"] == 0
+    assert payload["config"]["fit"]["seed"] == 0
     assert payload["config"]["w"] in (0.5, 1.0)
     assert payload["grid_best"]["mae"] >= 0.0
     assert payload["report"]["e0"]["n"] == len(records) - 1
@@ -274,9 +274,10 @@ def test_cv_strict_parallel_matches_serial_and_calibrates(
     train, _ = split_csvs
     calibrated = workdir / "model_cal.json"
     shutil.copy(model_json, calibrated)
+    # the seed of model_json, so that both runs cross-validate one fit
     base = ["cv", "--input", str(train), "--strict-loco", "--skip-grid",
             "--w", "1.0", "--tau", "12", "--horizon", "10",
-            "--spacing", "5"]
+            "--spacing", "5", "--seed", "7"]
     rc = main(base + ["--jobs", "1", "--model", str(calibrated),
                       "--out", str(workdir / "p1")])
     assert rc == 0
@@ -298,6 +299,46 @@ def test_cv_strict_parallel_matches_serial_and_calibrates(
     summary = list(csv.reader(open(f"{prefix}_summary.csv")))
     lo80, hi80 = float(summary[1][6]), float(summary[1][7])
     assert lo80 < float(summary[1][5]) < hi80
+
+
+def test_cv_model_cross_validates_the_artifacts_own_fit(split_csvs,
+                                                       workdir, capsys):
+    train, _ = split_csvs
+    model = workdir / "model_pcs4.json"
+    rc = main(["fit", "--input", str(train), "--pcs", "4", "--window", "30",
+               "--tau", "20", "--out", str(model)])
+    assert rc == 0
+    base = ["cv", "--input", str(train), "--skip-grid", "--horizon", "10",
+            "--spacing", "5"]
+    rc = main(base + ["--model", str(model), "--out", str(workdir / "own")])
+    assert rc == 0
+    config = json.loads((workdir / "own_metrics.json").read_text())["config"]
+    assert (config["fit"]["n_components"], config["fit"]["window"],
+            config["fit"]["tau"]) == (4, 30.0, 20.0)
+    assert config["fit"]["origin"] is None
+    # the same CV as the artifact's settings given as flags
+    rc = main(base + ["--pcs", "4", "--window", "30", "--tau", "20",
+                      "--out", str(workdir / "flags")])
+    assert rc == 0
+    assert (workdir / "own_records.csv").read_bytes() == \
+           (workdir / "flags_records.csv").read_bytes()
+    fitted = load_model(model)
+    assert fitted.pca.n_components == 4
+    assert fitted.calibration is not None
+
+    # a fit flag that disagrees with the artifact is a usage error
+    calibrated = model.read_bytes()
+    capsys.readouterr()
+    rc = main(base + ["--model", str(model), "--pcs", "5",
+                      "--out", str(workdir / "never")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--pcs 5" in err and "n_components 4" in err
+    assert model.read_bytes() == calibrated
+    # one that agrees is not
+    rc = main(base + ["--model", str(model), "--pcs", "4", "--window", "30",
+                      "--out", str(workdir / "agree")])
+    assert rc == 0
 
 
 def test_cv_single_country_exits_3(data_csv, workdir):

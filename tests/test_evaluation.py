@@ -279,7 +279,7 @@ def cv_records(cv_world):
     def on_fit(country, origin_year, fitted):
         fits.append((country, origin_year, fitted))
 
-    config = CVConfig(horizon=20, origin_spacing=10, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=20, origin_spacing=10)
     records = run_loco_cv(cv_world.tensor, config, on_fit=on_fit)
     return records, fits, config
 
@@ -348,7 +348,7 @@ def test_loco_skips_country_without_origins(cv_world):
     crippled = MortalityTensor(values=values, mask=mask,
                                countries=tensor.countries,
                                years=tensor.years, ages=tensor.ages)
-    config = CVConfig(horizon=5, seed=3, schedules=False)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=5, schedules=False)
     with pytest.warns(UserWarning, match="skipped"):
         records = run_loco_cv(crippled, config)
     assert tensor.countries[0] not in {r.country for r in records}
@@ -356,8 +356,8 @@ def test_loco_skips_country_without_origins(cv_world):
 
 def test_truth_flag_switches_ground_truth(cv_world):
     # a deliberately low age rank so the basis cannot span raw schedules
-    config = CVConfig(ranks=(2, 5, 3, 20), horizon=3, schedules=False,
-                      seed=3)
+    config = CVConfig(fit=FitConfig(ranks=(2, 5, 3, 20), seed=3), horizon=3,
+                      schedules=False)
     raw = run_loco_cv(cv_world.tensor, config)
     tucker = run_loco_cv(cv_world.tensor, replace_truth(config, "tucker"))
     assert [r.e0_hat for r in raw] == [r.e0_hat for r in tucker]
@@ -419,7 +419,7 @@ def test_thread_cap_from_environment(monkeypatch):
 
 
 def test_grid_search_table_and_best(cv_world):
-    config = CVConfig(horizon=10, schedules=False, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=10, schedules=False)
     result = grid_search(cv_world.tensor, grid_w=(0.5, 1.0),
                          grid_tau=(12.0, 20.0), config=config)
     assert isinstance(result, GridResult)
@@ -433,12 +433,13 @@ def test_grid_search_table_and_best(cv_world):
 
 
 def test_grid_cells_are_the_mae_of_inclusive_cv(cv_world):
-    config = CVConfig(horizon=10, schedules=False, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=10, schedules=False)
     result = grid_search(cv_world.tensor, grid_w=(0.5, 1.0),
                          grid_tau=(12.0, 20.0), config=config)
     for row in result.table:
-        records = run_inclusive_cv(
-            cv_world.tensor, replace(config, w=row["w"], tau=row["tau"]))
+        cell = replace(config, w=row["w"],
+                       fit=replace(config.fit, tau=row["tau"]))
+        records = run_inclusive_cv(cv_world.tensor, cell)
         # the grid sums in origin-plan order: by origin year, then country
         records.sort(key=lambda r: (r.origin, r.country, r.horizon))
         assert row["n"] == len(records)
@@ -524,14 +525,19 @@ def test_entry_state_takes_the_origin_from_the_projected_history(cv_world):
 
 def test_cv_config_errors_are_usage_and_data_errors():
     for bad in ({"horizon": 0}, {"origin_spacing": 0}, {"min_train": 1},
-                {"w": 2.0}, {"truth": "oracle"}):
+                {"w": 2.0}, {"truth": "oracle"}, {"horizon": 2.5},
+                {"origin_spacing": 2.5}, {"min_train": 20.5},
+                {"jobs": 2.5}, {"fit": FitConfig(origin=1990)}):
         with pytest.raises(ConfigError) as info:
             CVConfig(**bad)
         assert isinstance(info.value, DataError)
+    # integer settings are coerced as FitConfig coerces its own
+    config = CVConfig(horizon=np.int64(5), min_train=np.int32(25))
+    assert (type(config.horizon), type(config.min_train)) == (int, int)
 
 
 def test_grid_search_matches_one_full_fit_per_origin_and_tau(cv_world):
-    config = CVConfig(horizon=10, schedules=False, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=10, schedules=False)
     grid_w, grid_tau = (0.2, 1.0), (10.0, 20.0, 30.0)
     result = grid_search(cv_world.tensor, grid_w, grid_tau, config)
     best, table = reference_grid(cv_world.tensor, grid_w, grid_tau, config)
@@ -596,7 +602,7 @@ def test_grid_fits_tau_free_dynamics_once_per_origin(cv_world, monkeypatch):
 
     monkeypatch.setattr(flowfield, "lowess", counted_lowess)
     monkeypatch.setattr(flowfield, "era_lowess", counted_era_lowess)
-    config = CVConfig(horizon=10, schedules=False, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=10, schedules=False)
     grid_search(cv_world.tensor, grid_w=(1.0,), grid_tau=GRID_TAU,
                 config=config)
     tensor = cv_world.tensor
@@ -633,7 +639,8 @@ def assert_same_records(got, want):
 @pytest.mark.parametrize("truth", ["raw", "tucker"])
 def test_strict_and_inclusive_records_match_the_horizon_loop(
         cv_world, monkeypatch, truth):
-    config = CVConfig(horizon=15, origin_spacing=10, seed=3, truth=truth)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=15, origin_spacing=10,
+                      truth=truth)
     tensor = cv_world.tensor
     strict = run_loco_cv(tensor, config)
     inclusive = run_inclusive_cv(tensor, config)
@@ -651,7 +658,8 @@ def test_one_forecast_records_match_the_horizon_loop(cv_world, truth,
     # sits close enough to the end that the horizon runs past the years
     tensor = cv_world.tensor
     c, t0 = 1, tensor.years.size - 12
-    config = CVConfig(horizon=20, seed=3, truth=truth, schedules=schedules)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=20, truth=truth,
+                      schedules=schedules)
     fitted = fit_model(tensor, config.fit_config(int(tensor.years[t0])),
                        clip_ranks=True)
     result = fitted.forecast(tensor.countries[c], horizon=config.horizon)
@@ -677,7 +685,7 @@ def test_one_forecast_records_match_the_horizon_loop(cv_world, truth,
 
 
 def test_grid_maes_are_the_record_maes_in_plan_order(cv_world):
-    config = CVConfig(horizon=12, schedules=False, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=12, schedules=False)
     grid_w, grid_tau = (0.2, 1.0), (10.0, 20.0)
     result = grid_search(cv_world.tensor, grid_w, grid_tau, config)
     cells = _inclusive_records(cv_world.tensor, config, grid_w, grid_tau,
@@ -698,7 +706,7 @@ def test_a_nan_forecast_e0_raises_data_error(cv_world, monkeypatch):
         return results
 
     monkeypatch.setattr(evaluation, "run_forecasts", nan_at_h3)
-    config = CVConfig(horizon=10, seed=3)
+    config = CVConfig(fit=FitConfig(seed=3), horizon=10)
     with pytest.raises(DataError, match="non-finite error .* horizon 3"):
         grid_search(cv_world.tensor, (1.0,), (12.0,), config)
     with pytest.raises(DataError, match="non-finite error .* horizon 3"):

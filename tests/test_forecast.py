@@ -282,6 +282,11 @@ def test_config_validation():
         ForecastConfig(rates=rates_for(0.9), w=1.5)
     with pytest.raises(ValueError):
         ForecastConfig(rates=rates_for(0.9), horizon=0)
+    # a horizon must be an integer: range() would fail on 2.5 later
+    with pytest.raises(ConfigError, match="horizon must be an integer"):
+        ForecastConfig(rates=rates_for(0.9), horizon=2.5)
+    assert type(ForecastConfig(rates=rates_for(0.9),
+                               horizon=np.int64(3)).horizon) is int
 
 
 # ------------------------------------------------------------ entry states
@@ -658,9 +663,12 @@ def test_batch_engine_equals_single_state_runs(fitted_world, seed, n_states,
              + [state for _ in range(3) for state in crossing])
     w = np.concatenate((np.repeat(ws, len(states)),
                         np.repeat([0.0, 0.5, 1.0], len(crossing))))
+    batch_config = ForecastConfig(rates=rates, horizon=horizon)
     results = run_forecasts(fitted.model, fitted.pca, ff, batch,
-                            ForecastConfig(rates=rates, horizon=horizon), w=w)
+                            batch_config, w=w)
     assert len(results) == len(batch)
+    # one result per state: none for no state
+    assert run_forecasts(fitted.model, fitted.pca, ff, [], batch_config) == []
     # the speed is negative just above the transition, so the first
     # crossing state passes below it in its first step at every w
     assert float(ff.speed(tr + 0.1)) < -0.1

@@ -112,7 +112,8 @@ def test_renaming_countries_in_their_order_gives_the_same_bits(
             assert getattr(got, field).tobytes() == \
                 getattr(want, field).tobytes()
 
-    config = CVConfig(n_components=3, horizon=10, origin_spacing=5, w=w)
+    config = CVConfig(fit=FitConfig(n_components=3), horizon=10,
+                      origin_spacing=5, w=w)
     records = run_inclusive_cv(base, config)
     renamed_records = run_inclusive_cv(other, config)
     assert len(records) == len(renamed_records) > 0

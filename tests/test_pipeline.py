@@ -1,9 +1,11 @@
 """End-to-end fit tests on generated worlds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mortflow.errors import ConfigError, CVConfigError, RankError
+from mortflow.errors import ConfigError, RankError
 from mortflow.evaluation import CVConfig
 from mortflow.forecast import tier1_state
 from mortflow.lifetable import e0_by_sex
@@ -57,8 +59,9 @@ def test_fit_config_rejects_out_of_range_settings(name, value):
     ("seed", -1), ("tau", float("inf")), ("window", 0.0),
 ])
 def test_cv_config_rejects_out_of_range_fit_settings(name, value):
-    with pytest.raises(CVConfigError, match=name):
-        CVConfig(**{name: value})
+    # a CV's fit settings are a FitConfig, checked where it is built
+    with pytest.raises(ConfigError, match=name):
+        CVConfig(fit=replace(CVConfig().fit, **{name: value}))
 
 
 def test_fit_model_end_to_end():

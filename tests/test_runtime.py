@@ -50,15 +50,16 @@ def test_import_leaves_scipy_and_the_process_pool_unloaded():
 def test_parallel_strict_cv_loads_the_pool_and_matches_serial():
     out = _run_fresh("""
         import sys
+        from dataclasses import replace
         import numpy as np
-        from mortflow import CVConfig, SyntheticSpec, generate, run_loco_cv
+        from mortflow import (CVConfig, FitConfig, SyntheticSpec, generate,
+                              run_loco_cv)
         world = generate(SyntheticSpec(n_countries=3, n_ages=12, n_years=40,
                                        stagger=3, seed=5))
-        config = CVConfig(horizon=10, origin_spacing=10, seed=5)
+        config = CVConfig(fit=FitConfig(seed=5), horizon=10, origin_spacing=10)
         serial = run_loco_cv(world.tensor, config)
         assert "concurrent.futures" not in sys.modules
-        parallel = run_loco_cv(world.tensor, CVConfig(
-            horizon=10, origin_spacing=10, seed=5, jobs=2))
+        parallel = run_loco_cv(world.tensor, replace(config, jobs=2))
         assert "concurrent.futures" in sys.modules
         assert len(serial) == len(parallel) > 0
         for a, b in zip(serial, parallel):
