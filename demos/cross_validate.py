@@ -30,7 +30,7 @@ print(f"winner: w {best['w']:.1f}, tau {best['tau']:.0f}")
 strict = CVConfig(fit=FitConfig(tau=best["tau"]), horizon=20,
                   origin_spacing=10, schedules=False, w=best["w"])
 records = run_loco_cv(world.tensor, strict)
-mae = float(np.mean([abs(r.err) for r in records]))
+mae = float(np.mean(np.abs(records.err)))
 print(f"\nstrict LOCO: {len(records)} forecasts, e0 MAE {mae:.3f} years")
 
 report = metric_report(records)

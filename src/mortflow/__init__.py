@@ -18,7 +18,7 @@ from .errors import (ArtifactError, CalibrationMissingError, ConfigError,
                      InsufficientDataError,
                      MissingDataError, MortflowError, RankError,
                      ShapeMismatchError, TailConfigError)
-from .evaluation import (CVConfig, CVRecord, GridResult, MetricReport,
+from .evaluation import (CVConfig, CVRecords, GridResult, MetricReport,
                          calibrate_pi, candidate_origins, entry_state,
                          grid_search, metric_report, run_inclusive_cv,
                          run_loco_cv, write_grid_csv, write_records_csv)
@@ -43,7 +43,7 @@ from .tucker import (TuckerModel, effective_core, full_reconstruction, hosvd,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArtifactError", "BasisFit", "CVConfig", "CVRecord",
+    "ArtifactError", "BasisFit", "CVConfig", "CVRecords",
     "CalibrationMissingError", "ConfigError", "CorePCA", "CountryState",
     "CsvFormatError",
     "DataError", "DomainError", "EraKernel", "ExtendedFn", "FitConfig",

@@ -19,7 +19,8 @@ from operator import index
 import numpy as np
 
 from .data import drop_country
-from .errors import CVConfigError, DataError, InsufficientDataError
+from .errors import (CVConfigError, DataError, InsufficientDataError,
+                     ShapeMismatchError)
 from .forecast import (
     ForecastConfig,
     PICalibration,
@@ -51,32 +52,72 @@ HORIZON_BANDS = ((1, 5), (6, 15), (16, 25), (26, 50))
 
 RECORD_COLUMNS = ("country", "origin", "h", "e0_hat", "e0_obs", "err")
 
+# CVRecords fields and their dtypes; the last three are the schedule blocks
+RECORD_FIELDS = (("country", object), ("origin", np.int64),
+                 ("horizon", np.int64), ("e0_hat", float), ("e0_obs", float),
+                 ("err", float), ("log_mx_err", float), ("lx_obs", float),
+                 ("excluded", np.int64))
 
-@dataclass
-class CVRecord:
-    """One evaluated forecast point: a country, an origin, a horizon."""
 
-    country: str
-    origin: int
-    horizon: int
-    e0_hat: float
-    e0_obs: float
-    err: float
+@dataclass(frozen=True, eq=False)
+class CVRecords:
+    """CV forecast points as columns, a row per (country, origin, horizon).
+
+    ``log_mx_err`` and ``lx_obs`` are (R, S, A) blocks of per-cell log-mx
+    errors and observed survivorship, and ``excluded`` counts each row's
+    cells that take no log; all three are None when the CV keeps no
+    schedules.  A missing column, columns of unequal length, a horizon
+    below 1 or a non-finite error raise DataError.
+    """
+
+    country: np.ndarray
+    origin: np.ndarray
+    horizon: np.ndarray
+    e0_hat: np.ndarray
+    e0_obs: np.ndarray
+    err: np.ndarray
     log_mx_err: np.ndarray | None = None
     lx_obs: np.ndarray | None = None
-    excluded: int = 0
+    excluded: np.ndarray | None = None
 
     def __post_init__(self):
-        self.origin = int(self.origin)
-        self.horizon = int(self.horizon)
-        self.e0_hat = float(self.e0_hat)
-        self.e0_obs = float(self.e0_obs)
-        self.err = float(self.err)
-        if self.horizon < 1:
-            raise DataError(f"horizon {self.horizon} is not positive")
-        if not np.isfinite(self.err):
-            raise DataError(f"non-finite error for {self.country} at "
-                            f"origin {self.origin}, horizon {self.horizon}")
+        columns = []
+        for name, dtype in RECORD_FIELDS:
+            column = getattr(self, name)
+            if column is not None:
+                column = np.asarray(column, dtype=dtype)
+                object.__setattr__(self, name, column)
+                columns.append(column)
+        if len(columns) not in (6, 9) or self.err.ndim != 1 or any(
+                column.shape[:1] != self.err.shape for column in columns):
+            raise ShapeMismatchError("record columns are missing or differ "
+                                     "in length")
+        bad = np.flatnonzero((self.horizon < 1) | ~np.isfinite(self.err))
+        if bad.size:
+            i = bad[0]
+            if self.horizon[i] < 1:
+                raise DataError(f"horizon {self.horizon[i]} is not positive")
+            raise DataError(f"non-finite error for {self.country[i]} at "
+                            f"origin {self.origin[i]}, horizon "
+                            f"{self.horizon[i]}")
+
+    def __len__(self):
+        return self.err.size
+
+
+def _joined(parts):
+    """Concatenated parts, sorted by (country, origin, horizon, err)."""
+    if not parts:
+        return CVRecords(*([],) * 6)
+    columns = {}
+    for name, _ in RECORD_FIELDS:
+        column = [getattr(part, name) for part in parts]
+        columns[name] = None if column[0] is None else np.concatenate(column)
+    country_rank = np.unique(columns["country"], return_inverse=True)[1]
+    order = np.lexsort((columns["err"], columns["horizon"], columns["origin"],
+                        country_rank))
+    return CVRecords(**{name: None if column is None else column[order]
+                        for name, column in columns.items()})
 
 
 @dataclass(frozen=True)
@@ -85,7 +126,7 @@ class CVConfig:
 
     ``fit`` leaves its origin unset: each refit sets its forecast origin.
     ``schedules`` keeps per-age log-mx errors and observed survivorship
-    on each record so metric_report can weight by lx.  ``truth``
+    in the records so metric_report can weight by lx.  ``truth``
     selects the ground-truth e0: "raw" reads it off the held-out qx;
     "tucker" reads it off the basis reconstruction of the observed
     schedule, which nets out basis misfit for diagnostics.
@@ -109,7 +150,7 @@ class CVConfig:
                 raise CVConfigError(
                     f"{name} must be an integer, not {value!r}") from None
         for name, least in (("horizon", 1), ("origin_spacing", 1),
-                            ("min_train", 2)):
+                            ("min_train", 2), ("jobs", 1)):
             if getattr(self, name) < least:
                 raise CVConfigError(f"{name} must be at least {least}")
         if self.fit.origin is not None:
@@ -192,42 +233,26 @@ def _tucker_e0(model, obs_schedule):
     return float(e0_by_sex(rep).mean())
 
 
-def _kept_errors(model, result, tensor, observed, c, t_origin, config):
-    """(h, e0_hat, e0_obs, err) of one forecast's observed horizons.
-
-    A non-finite error raises DataError.
-    """
-    h = np.flatnonzero(
-        tensor.mask[c, t_origin + 1:t_origin + config.horizon + 1]) + 1
-    e0_hat = result.e0_avg[h - 1]
-    e0_obs = (np.array([_tucker_e0(model, tensor.values[:, :, c, t])
-                        for t in t_origin + h])
-              if config.truth == "tucker" else observed[c, t_origin + h])
-    err = e0_hat - e0_obs
-    bad = np.flatnonzero(~np.isfinite(err))
-    if bad.size:
-        raise DataError(f"non-finite error for {tensor.countries[c]} at "
-                        f"origin {int(tensor.years[t_origin])}, horizon "
-                        f"{h[bad[0]]}")
-    return h, e0_hat, e0_obs, err
-
-
 def _records_from_result(model, result, tensor, observed, c, t_origin,
                          config):
     """Records of one forecast; ``observed`` is observed_e0 of the tensor."""
-    h, e0_hat, e0_obs, err = _kept_errors(model, result, tensor, observed,
-                                          c, t_origin, config)
-    columns = [h.tolist(), e0_hat.tolist(), e0_obs.tolist(), err.tolist()]
-    if config.schedules and h.size:
-        obs = np.moveaxis(tensor.values[:, :, c, t_origin + h], -1, 0)
-        eps, lx, excluded = _schedule_errors(result.schedules[h - 1], obs)
-        columns += [eps, lx, excluded.tolist()]
-    country, origin = tensor.countries[c], int(tensor.years[t_origin])
-    return [CVRecord(country, origin, *row) for row in zip(*columns)]
+    h = np.flatnonzero(
+        tensor.mask[c, t_origin + 1:t_origin + config.horizon + 1]) + 1
+    t = t_origin + h
+    e0_hat = result.e0_avg[h - 1]
+    e0_obs = (np.array([_tucker_e0(model, tensor.values[:, :, c, s])
+                        for s in t])
+              if config.truth == "tucker" else observed[c, t])
+    blocks = (_schedule_errors(result.schedules[h - 1],
+                               np.moveaxis(tensor.values[:, :, c, t], -1, 0))
+              if config.schedules else ())
+    return CVRecords(np.full(h.size, tensor.countries[c], dtype=object),
+                     np.full(h.size, tensor.years[t_origin]), h, e0_hat,
+                     e0_obs, e0_hat - e0_obs, *blocks)
 
 
-def _country_records(tensor, country, config, observed, on_fit=None):
-    """Strict LOCO records for one held-out country."""
+def _country_records(tensor, country, config, observed):
+    """Strict LOCO records for one held-out country, one per forecast."""
     c = tensor.country_index(country)
     origins = candidate_origins(tensor, c, config)
     if not origins:
@@ -236,50 +261,41 @@ def _country_records(tensor, country, config, observed, on_fit=None):
                       "observed after any origin); skipped")
         return []
     training = drop_country(tensor, country)
-    records = []
+    parts = []
     for t0 in origins:
-        origin_year = int(tensor.years[t0])
-        fitted = fit_model(training, config.fit_config(origin_year),
+        fitted = fit_model(training, config.fit_config(tensor.years[t0]),
                            clip_ranks=True)
-        if on_fit is not None:
-            on_fit(country, origin_year, fitted)
         result = fitted.forecast_state(entry_state(fitted, tensor, c, t0),
                                        horizon=config.horizon, w=config.w)
-        records.extend(_records_from_result(fitted.model, result, tensor,
-                                            observed, c, t0, config))
-    return records
+        parts.append(_records_from_result(fitted.model, result, tensor,
+                                          observed, c, t0, config))
+    return parts
 
 
 def _effective_jobs(requested):
-    jobs = max(1, int(requested))
+    """``requested`` capped by MORTFLOW_THREADS, a positive integer."""
     cap = os.environ.get("MORTFLOW_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            raise DataError(
-                f"MORTFLOW_THREADS is not an integer: {cap!r}") from None
-    return jobs
+    if not cap:
+        return requested
+    if not cap.strip().isdecimal() or int(cap) < 1:
+        raise CVConfigError(
+            f"MORTFLOW_THREADS must be a positive integer, not {cap!r}")
+    return min(requested, int(cap))
 
 
-def run_loco_cv(tensor, config=None, on_fit=None):
+def run_loco_cv(tensor, config=None):
     """Leave-country-out cross-validation over the whole panel.
 
     Each held-out country is refitted out of the panel at every
     candidate origin and forecast from a tier-2 entry through the
-    held-out-free basis.  ``on_fit`` is called with (country,
-    origin_year, fitted) after each refit; passing it forces serial
-    execution because callbacks cannot cross process boundaries.
-    Records come back sorted by (country, origin, horizon) regardless
-    of scheduling.
+    held-out-free basis.  Records come back sorted by (country,
+    origin, horizon) regardless of scheduling.
     """
     config = config or CVConfig()
     if len(tensor.countries) < 2:
         raise InsufficientDataError(
             "cross-validation needs at least 2 countries")
     jobs = _effective_jobs(config.jobs)
-    if on_fit is not None:
-        jobs = 1
     observed = observed_e0(tensor.values, tensor.mask)
     if jobs > 1:
         # deferred: only a parallel run pays for the import
@@ -289,12 +305,9 @@ def run_loco_cv(tensor, config=None, on_fit=None):
                                    tensor.countries, repeat(config),
                                    repeat(observed)))
     else:
-        chunks = [_country_records(tensor, country, config, observed,
-                                   on_fit=on_fit)
+        chunks = [_country_records(tensor, country, config, observed)
                   for country in tensor.countries]
-    records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r.country, r.origin, r.horizon))
-    return records
+    return _joined([part for chunk in chunks for part in chunk])
 
 
 def _origin_plan(tensor, config):
@@ -311,14 +324,13 @@ def _origin_plan(tensor, config):
     return {year: by_year[year] for year in sorted(by_year)}
 
 
-def _inclusive_records(tensor, config, grid_w, grid_tau, build):
-    """Inclusive-flow forecasts of each (w, tau) cell, in origin-plan order.
+def _inclusive_records(tensor, config, grid_w, grid_tau):
+    """Inclusive-flow records of each (w, tau) cell, in origin-plan order.
 
     Per origin year: one basis fit, one state per entry read off its
     score grid, one fit of the era-free dynamics, and per tau one speed
-    fit and one engine run over every (w, entry).  A cell pools
-    ``build(model, result, tensor, observed, c, t0, config)`` over its
-    forecasts: their records, or their errors.
+    fit and one engine run over every (w, entry).  A cell is a list of
+    CVRecords, one per forecast.
     """
     plan = _origin_plan(tensor, config)
     observed = observed_e0(tensor.values, tensor.mask)
@@ -341,9 +353,9 @@ def _inclusive_records(tensor, config, grid_w, grid_tau, build):
             for i, w in enumerate(grid_w):
                 cell = cells[(float(w), float(tau))]
                 chunk = results[i * len(states):(i + 1) * len(states)]
-                for (c, t0), result in zip(entries, chunk):
-                    cell.extend(build(basis.model, result, tensor, observed,
-                                      c, t0, config))
+                cell.extend(_records_from_result(basis.model, result, tensor,
+                                                 observed, c, t0, config)
+                            for (c, t0), result in zip(entries, chunk))
     return cells
 
 
@@ -357,11 +369,9 @@ def run_inclusive_cv(tensor, config=None):
     from run_loco_cv.  Always serial.
     """
     config = config or CVConfig()
-    (records,) = _inclusive_records(tensor, config, (config.w,),
-                                    (config.fit.tau,),
-                                    _records_from_result).values()
-    records.sort(key=lambda r: (r.country, r.origin, r.horizon))
-    return records
+    (parts,) = _inclusive_records(tensor, config, (config.w,),
+                                  (config.fit.tau,)).values()
+    return _joined(parts)
 
 
 @dataclass
@@ -389,12 +399,12 @@ def grid_search(tensor, grid_w=GRID_W, grid_tau=GRID_TAU, config=None):
             if v in values[:i]:
                 raise DataError(f"grid {name} value {v!r} is repeated")
     config = replace(config or CVConfig(), schedules=False, truth="raw")
-    cells = _inclusive_records(tensor, config, grid_w, grid_tau,
-                               lambda *forecast: _kept_errors(*forecast)[3])
+    cells = _inclusive_records(tensor, config, grid_w, grid_tau)
     table = []
     for w in grid_w:
         for tau in grid_tau:
-            errs = np.abs(cells[(float(w), float(tau))])
+            parts = cells[(float(w), float(tau))]
+            errs = np.abs(np.concatenate([part.err for part in parts]))
             table.append({"w": float(w), "tau": float(tau),
                           "mae": float(np.mean(errs)), "n": errs.size})
     best = min(table, key=lambda row: (row["mae"], row["tau"], row["w"]))
@@ -411,8 +421,8 @@ def calibrate_pi(records):
     """
     if len(records) == 0:
         raise InsufficientDataError("no records to calibrate on")
-    errs = np.array([r.err for r in records], dtype=float)
-    hs = np.array([r.horizon for r in records], dtype=float)
+    errs = records.err
+    hs = records.horizon.astype(float)
     uniq, counts = np.unique(hs, return_counts=True)
     if int(np.count_nonzero(counts >= 10)) < 2:
         raise InsufficientDataError(
@@ -459,7 +469,6 @@ class MetricReport:
 
 
 def _e0_stats(errs):
-    errs = np.asarray(errs, dtype=float)
     return {"mae": float(np.mean(np.abs(errs))),
             "rmse": float(np.sqrt(np.mean(errs ** 2))),
             "bias": float(np.mean(errs)),
@@ -485,33 +494,27 @@ def _weighted_stats(eps, weights, valid):
 
 
 def metric_report(records, ages=None, weights="observed"):
-    """Aggregate error metrics over a record collection.
+    """Aggregate error metrics over a CVRecords.
 
     e0 metrics use every record; log-mx and sex-differential metrics
-    use the records that carry schedule errors, weighted by the
-    observed survivorship (or uniformly with weights="uniform").
+    use the schedule blocks, when the records hold them, weighted by
+    the observed survivorship (or uniformly with weights="uniform").
     Records are sorted internally, so the report is invariant to their
-    order.  ``ages`` labels the age axis of the schedule arrays; it
+    order.  ``ages`` labels the age axis of the schedule blocks; it
     defaults to 0..A-1.
     """
     if weights not in ("observed", "uniform"):
         raise DataError(f"unknown weight source {weights!r}")
     if len(records) == 0:
         raise InsufficientDataError("no records to report on")
-    recs = sorted(records,
-                  key=lambda r: (r.country, r.origin, r.horizon, r.err))
-    errs = np.array([r.err for r in recs], dtype=float)
-    hs = np.array([r.horizon for r in recs])
+    records = _joined([records])
+    errs, hs = records.err, records.horizon
+    eps, lx = records.log_mx_err, records.lx_obs
     report = MetricReport(e0=_e0_stats(errs), log_mx=None, sex_diff=None,
-                          excluded=sum(r.excluded for r in recs),
-                          n_records=len(recs))
+                          n_records=len(records))
 
-    with_arrays = [r for r in recs if r.log_mx_err is not None]
-    eps = lx = None
-    if with_arrays:
-        eps = np.stack([r.log_mx_err for r in with_arrays])
-        lx = np.stack([r.lx_obs for r in with_arrays])
-        arr_hs = np.array([r.horizon for r in with_arrays])
+    if eps is not None:
+        report.excluded = int(records.excluded.sum())
         n_ages = eps.shape[2]
         ages = np.arange(n_ages) if ages is None else np.asarray(ages)
         if ages.size != n_ages:
@@ -544,32 +547,28 @@ def metric_report(records, ages=None, weights="observed"):
             continue
         row = {"band": f"{lo}-{hi}", **_e0_stats(errs[in_band])}
         if eps is not None:
-            sel = (arr_hs >= lo) & (arr_hs <= hi)
-            if sel.any():
-                stats = _weighted_stats(eps[sel], lx[sel],
-                                        np.isfinite(eps[sel]))
-                if stats is not None:
-                    row["log_mx"] = stats
+            stats = _weighted_stats(eps[in_band], lx[in_band],
+                                    valid[in_band])
+            if stats is not None:
+                row["log_mx"] = stats
         report.by_horizon_band.append(row)
     return report
 
 
 def write_records_csv(records, path):
-    """CV records in long form; schedule arrays do not round-trip."""
+    """CV records in long form; schedule blocks do not round-trip."""
+    columns = (records.country, records.origin, records.horizon,
+               records.e0_hat, records.e0_obs, records.err)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([r.country, r.origin, r.horizon,
-                             repr(r.e0_hat), repr(r.e0_obs), repr(r.err)])
+        writer.writerows(zip(*(column.tolist() for column in columns)))
 
 
 def write_grid_csv(result, path):
-    table = result.table if isinstance(result, GridResult) else result
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["w", "tau", "mae", "n"])
-        for row in table:
+        for row in result.table:
             writer.writerow([repr(row["w"]), repr(row["tau"]),
                              repr(row["mae"]), row["n"]])
-

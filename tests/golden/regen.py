@@ -63,13 +63,17 @@ def _floats(values):
 
 
 def _record_summary(records):
-    errs = np.array([abs(r.err) for r in records])
+    errs = np.abs(records.err)
     picks = np.linspace(0, len(records) - 1, SAMPLE_RECORDS).astype(int)
-    sample = [{"country": r.country, "origin": r.origin,
-               "horizon": r.horizon, "e0_hat": r.e0_hat, "e0_obs": r.e0_obs,
-               "err": r.err, "excluded": r.excluded,
-               "log_mx_err": _floats(r.log_mx_err)}
-              for r in (records[i] for i in picks)]
+    sample = [{"country": records.country[i],
+               "origin": int(records.origin[i]),
+               "horizon": int(records.horizon[i]),
+               "e0_hat": float(records.e0_hat[i]),
+               "e0_obs": float(records.e0_obs[i]),
+               "err": float(records.err[i]),
+               "excluded": int(records.excluded[i]),
+               "log_mx_err": _floats(records.log_mx_err[i])}
+              for i in picks]
     return {"n": len(records), "mae": float(errs.mean()), "sample": sample}
 
 

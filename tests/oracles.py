@@ -512,12 +512,12 @@ def reference_records(model, result, tensor, observed, c, t_origin,
     """Records of one forecast, one horizon at a time.
 
     The loop that ``mortflow.evaluation._records_from_result`` replaced:
-    per horizon a mask test, a record, and the schedule errors of that
-    horizon alone.
+    per horizon a mask test, a row, and the schedule errors of that
+    horizon alone; the rows become one CVRecords at the end.
     """
-    from mortflow.evaluation import CVRecord, _schedule_errors, _tucker_e0
+    from mortflow.evaluation import CVRecords, _schedule_errors, _tucker_e0
 
-    records = []
+    rows, blocks = [], []
     origin_year = int(tensor.years[t_origin])
     for h in range(1, config.horizon + 1):
         t = t_origin + h
@@ -527,16 +527,16 @@ def reference_records(model, result, tensor, observed, c, t_origin,
         e0_hat = float(result.e0_avg[h - 1])
         e0_obs = (_tucker_e0(model, obs) if config.truth == "tucker"
                   else float(observed[c, t]))
-        rec = CVRecord(country=tensor.countries[c], origin=origin_year,
-                       horizon=h, e0_hat=e0_hat, e0_obs=e0_obs,
-                       err=e0_hat - e0_obs)
+        rows.append((tensor.countries[c], origin_year, h, e0_hat, e0_obs,
+                     e0_hat - e0_obs))
         if config.schedules:
             eps, lx, excluded = _schedule_errors(result.schedules[h - 1], obs)
-            rec.log_mx_err = eps
-            rec.lx_obs = lx
-            rec.excluded = int(excluded)
-        records.append(rec)
-    return records
+            blocks.append((eps, lx, int(excluded)))
+    columns = [list(column) for column in zip(*rows)]
+    if config.schedules:
+        eps, lx, excluded = zip(*blocks)
+        columns += [np.stack(eps), np.stack(lx), list(excluded)]
+    return CVRecords(*columns)
 
 
 def reference_grid(tensor, grid_w, grid_tau, config):
@@ -569,9 +569,9 @@ def reference_grid(tensor, grid_w, grid_tau, config):
                     result = run_forecast(basis.model, basis.pca, ff, state,
                                           fc)
                     errors[(float(w), float(tau))].extend(
-                        abs(r.err) for r in reference_records(
+                        abs(err) for err in reference_records(
                             basis.model, result, tensor, observed, c, t0,
-                            config))
+                            config).err.tolist())
     table = [{"w": float(w), "tau": float(tau),
               "mae": float(np.mean(errors[(float(w), float(tau))])),
               "n": len(errors[(float(w), float(tau))])}

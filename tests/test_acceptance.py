@@ -17,8 +17,8 @@ import numpy.testing as npt
 from mortflow.artifact import load_model, model_to_dict, save_model
 from mortflow.convergence import compute_deviations, pooled_autocorr
 from mortflow.data import MortalityTensor
-from mortflow.evaluation import (CVConfig, CVRecord, calibrate_pi, grid_search,
-                                 metric_report, run_loco_cv)
+from mortflow.evaluation import (CVConfig, CVRecords, calibrate_pi,
+                                 grid_search, metric_report, run_loco_cv)
 from mortflow.forecast import ForecastConfig, jumpoff_weight, run_forecast, \
     tier2_state
 from mortflow.lifetable import life_table_e0
@@ -231,7 +231,7 @@ def test_criterion_10_self_consistency_cv():
                                       seed=seed))
 
     records = run_loco_cv(world(0).tensor, cv)
-    mae = float(np.mean([abs(r.err) for r in records]))
+    mae = float(np.mean(np.abs(records.err)))
 
     tables = []
     for seed in (0, 1, 2):
@@ -262,16 +262,16 @@ def test_criterion_11_pi_calibration_oracle():
     unit scale, unit kappa, and nominal coverage."""
     rng = np.random.default_rng(250)
     horizons = np.arange(1, 11)
-    records = []
-    for h in horizons:
-        for e in rng.normal(0.0, np.sqrt(h), size=1000):
-            records.append(CVRecord(country="X", origin=2000, horizon=int(h),
-                                    e0_hat=50.0 + e, e0_obs=50.0,
-                                    err=float(e)))
+    errs = np.concatenate([rng.normal(0.0, np.sqrt(h), size=1000)
+                           for h in horizons])
+    n = errs.size
+    records = CVRecords(country=["X"] * n, origin=[2000] * n,
+                        horizon=np.repeat(horizons, 1000), e0_hat=50.0 + errs,
+                        e0_obs=np.full(n, 50.0), err=errs)
     cal = calibrate_pi(records)
     bias = np.array([cal.bias(float(h)) for h in horizons])
-    errs = np.array([r.err for r in records])
-    hs = np.array([r.horizon for r in records], dtype=float)
+    errs = records.err
+    hs = records.horizon.astype(float)
     half = 1.96 * cal.kappa * cal.sigma1 * np.sqrt(hs)
     coverage = float(np.mean(np.abs(errs - cal.bias(hs)) <= half))
     print(f"max |bias| {np.abs(bias).max():.4f}, sigma1 {cal.sigma1:.4f}, "
@@ -299,29 +299,33 @@ def test_criterion_12_metric_identities():
     weights, reproduces the two-age worked example, and a perfect
     forecast yields an all-zero report."""
     rng = np.random.default_rng(12)
-    recs = [CVRecord(country="A", origin=2000, horizon=h, e0_hat=50.0,
-                     e0_obs=49.0, err=1.0, log_mx_err=rng.normal(size=(2, 6)),
-                     lx_obs=rng.uniform(0.1, 1.0, size=(2, 6)))
-            for h in range(1, 9)]
+    draws = [(rng.normal(size=(2, 6)), rng.uniform(0.1, 1.0, size=(2, 6)))
+             for _ in range(8)]
+    recs = CVRecords(country=["A"] * 8, origin=[2000] * 8,
+                     horizon=range(1, 9), e0_hat=[50.0] * 8,
+                     e0_obs=[49.0] * 8, err=[1.0] * 8,
+                     log_mx_err=[eps for eps, _ in draws],
+                     lx_obs=[lx for _, lx in draws], excluded=[0] * 8)
     uniform = metric_report(recs, ages=np.arange(6), weights="uniform")
     assert np.isclose(uniform.log_mx["mae_lx"], uniform.log_mx["mae"],
                       rtol=1e-12)
     assert np.isclose(uniform.log_mx["bias_lx"], uniform.log_mx["bias"],
                       rtol=1e-12)
 
-    hand = CVRecord(country="B", origin=2000, horizon=1, e0_hat=50.0,
-                    e0_obs=50.0, err=0.0,
-                    log_mx_err=np.array([[0.3, 0.6], [0.3, 0.6]]),
-                    lx_obs=np.array([[1.0, 0.5], [1.0, 0.5]]))
-    worked = metric_report([hand], ages=np.arange(2))
+    hand = CVRecords(country=["B"], origin=[2000], horizon=[1],
+                     e0_hat=[50.0], e0_obs=[50.0], err=[0.0],
+                     log_mx_err=[[[0.3, 0.6], [0.3, 0.6]]],
+                     lx_obs=[[[1.0, 0.5], [1.0, 0.5]]], excluded=[0])
+    worked = metric_report(hand, ages=np.arange(2))
     print(f"two-age weighted MAE {worked.log_mx['mae_lx']!r}")
     # exact up to the one float division in the weighted mean
     assert abs(worked.log_mx["mae_lx"] - 0.4) < 1e-15
 
-    perfect = [CVRecord(country="C", origin=2000, horizon=h, e0_hat=51.25,
-                        e0_obs=51.25, err=0.0, log_mx_err=np.zeros((2, 6)),
-                        lx_obs=np.ones((2, 6)))
-               for h in (1, 2, 3)]
+    perfect = CVRecords(country=["C"] * 3, origin=[2000] * 3,
+                        horizon=(1, 2, 3), e0_hat=[51.25] * 3,
+                        e0_obs=[51.25] * 3, err=[0.0] * 3,
+                        log_mx_err=np.zeros((3, 2, 6)),
+                        lx_obs=np.ones((3, 2, 6)), excluded=[0] * 3)
     report = metric_report(perfect, ages=np.arange(6))
     _assert_all_zero(report.to_dict())
 

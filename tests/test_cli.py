@@ -457,13 +457,26 @@ def test_internal_value_error_exits_4(split_csvs, workdir, capsys,
 
 
 @pytest.mark.parametrize("flag", [["--w", "2"], ["--horizon", "0"],
-                                  ["--spacing", "0"], ["--min-train", "1"]])
+                                  ["--spacing", "0"], ["--min-train", "1"],
+                                  ["--jobs", "0"], ["--jobs", "-3"]])
 def test_cv_out_of_range_settings_exit_2(split_csvs, workdir, capsys, flag):
     train, _ = split_csvs
     rc = main(["cv", "--input", str(train), *flag,
                "--out", str(workdir / "never")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("cap", ["banana", "0", "-3"])
+def test_cv_thread_cap_that_is_not_a_positive_integer_exits_2(
+        split_csvs, workdir, capsys, monkeypatch, cap):
+    train, _ = split_csvs
+    monkeypatch.setenv("MORTFLOW_THREADS", cap)
+    rc = main(["cv", "--input", str(train), "--strict-loco", "--skip-grid",
+               "--out", str(workdir / "never")])
+    assert rc == 2
+    assert "MORTFLOW_THREADS must be a positive integer" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -2,22 +2,26 @@ import csv
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mortflow.data import MortalityTensor, drop_country
-from mortflow.errors import ConfigError, DataError, InsufficientDataError
+from mortflow.errors import (ConfigError, CVConfigError, DataError,
+                             InsufficientDataError, ShapeMismatchError)
 from mortflow import evaluation, flowfield
 from mortflow.convergence import estimate_rates
 from mortflow.evaluation import (
     GRID_TAU,
     CVConfig,
-    CVRecord,
+    CVRecords,
     GridResult,
     _effective_jobs,
     _inclusive_records,
+    _joined,
     _records_from_result,
     _schedule_errors,
     calibrate_pi,
@@ -42,21 +46,51 @@ from oracles import reference_grid, reference_records
 
 
 def make_records(errs, horizons, country="X", origin=2000):
-    return [CVRecord(country=country, origin=origin, horizon=int(h),
-                     e0_hat=80.0 + e, e0_obs=80.0, err=float(e))
-            for e, h in zip(errs, horizons)]
+    errs = np.asarray(errs, dtype=float)
+    return CVRecords(country=[country] * errs.size,
+                     origin=[origin] * errs.size, horizon=horizons,
+                     e0_hat=80.0 + errs, e0_obs=np.full(errs.size, 80.0),
+                     err=errs)
+
+
+def stacked(parts):
+    """The rows of the parts one after another, in the order given."""
+    columns = {}
+    for f in fields(CVRecords):
+        column = [getattr(part, f.name) for part in parts]
+        columns[f.name] = None if column[0] is None else np.concatenate(column)
+    return CVRecords(**columns)
+
+
+def keys(records):
+    return list(zip(records.country.tolist(), records.origin.tolist(),
+                    records.horizon.tolist()))
 
 
 # ---------------------------------------------------------------- records
 
 
-def test_record_validates_horizon_and_error():
-    with pytest.raises(DataError):
-        CVRecord(country="X", origin=2000, horizon=0,
-                 e0_hat=80.0, e0_obs=80.0, err=0.0)
-    with pytest.raises(DataError):
-        CVRecord(country="X", origin=2000, horizon=1,
-                 e0_hat=np.nan, e0_obs=80.0, err=np.nan)
+def test_records_validate_their_columns():
+    with pytest.raises(DataError, match="horizon 0 is not positive"):
+        make_records([0.1, 0.0, 0.2], [1, 0, 2])
+    with pytest.raises(DataError, match="non-finite error for B at origin "
+                                        "1990, horizon 2"):
+        CVRecords(country=["A", "B", "B"], origin=[2000, 1990, 1990],
+                  horizon=[1, 2, 3], e0_hat=[80.0, np.nan, np.inf],
+                  e0_obs=[80.0] * 3, err=[0.0, np.nan, np.inf])
+    with pytest.raises(ShapeMismatchError):
+        make_records([0.1, 0.2], [1, 2, 3])
+    good = make_records([0.1, 0.2], [1, 2])
+    with pytest.raises(ShapeMismatchError):  # a schedule block missing
+        replace(good, log_mx_err=np.zeros((2, 2, 3)),
+                lx_obs=np.ones((2, 2, 3)))
+    with pytest.raises(ShapeMismatchError):  # a block of another length
+        replace(good, log_mx_err=np.zeros((3, 2, 3)),
+                lx_obs=np.ones((2, 2, 3)), excluded=[0, 0])
+    # lists become typed columns
+    assert good.country.dtype == object and good.horizon.dtype == np.int64
+    assert good.err.dtype == float and len(good) == 2
+    assert len(make_records([], [])) == 0
 
 
 def test_config_validation():
@@ -115,11 +149,9 @@ def test_origin_requires_truth_within_horizon():
 
 def gaussian_records(n_per_h=200, horizons=range(1, 51), seed=0):
     rng = np.random.default_rng(seed)
-    records = []
-    for h in horizons:
-        errs = rng.normal(0.0, np.sqrt(h), size=n_per_h)
-        records.extend(make_records(errs, [h] * n_per_h))
-    return records
+    errs = [rng.normal(0.0, np.sqrt(h), size=n_per_h) for h in horizons]
+    return make_records(np.concatenate(errs),
+                        np.repeat(np.asarray(horizons), n_per_h))
 
 
 def test_calibration_recovers_gaussian_scales():
@@ -136,8 +168,8 @@ def test_calibration_recovers_gaussian_scales():
 def test_calibration_set_coverage_near_nominal():
     records = gaussian_records(seed=1)
     cal = calibrate_pi(records)
-    errs = np.array([r.err for r in records])
-    hs = np.array([r.horizon for r in records], dtype=float)
+    errs = records.err
+    hs = records.horizon.astype(float)
     resid = errs - cal.bias(hs)
     scale = cal.kappa * cal.sigma1 * np.sqrt(hs)
     covered = np.mean(np.abs(resid) <= 1.96 * scale)
@@ -154,30 +186,29 @@ def test_constant_errors_floor_sigma_with_warning():
 
 
 def test_calibration_needs_two_populated_horizons():
-    records = make_records(np.linspace(-1, 1, 15), [1] * 15)
-    records += make_records([0.1] * 5, [2] * 5)
+    records = make_records([*np.linspace(-1, 1, 15), *[0.1] * 5],
+                           [1] * 15 + [2] * 5)
     with pytest.raises(InsufficientDataError):
         calibrate_pi(records)
     with pytest.raises(InsufficientDataError):
-        calibrate_pi([])
+        calibrate_pi(make_records([], []))
 
 
 # ---------------------------------------------------------------- metrics
 
 
 def schedule_record(eps, lx, horizon=1, country="X", err=0.0):
-    rec = CVRecord(country=country, origin=2000, horizon=horizon,
-                   e0_hat=80.0 + err, e0_obs=80.0, err=err)
-    rec.log_mx_err = np.asarray(eps, dtype=float)
-    rec.lx_obs = np.asarray(lx, dtype=float)
-    return rec
+    return CVRecords(country=[country], origin=[2000], horizon=[horizon],
+                     e0_hat=[80.0 + err], e0_obs=[80.0], err=[err],
+                     log_mx_err=np.asarray(eps, dtype=float)[None],
+                     lx_obs=np.asarray(lx, dtype=float)[None], excluded=[0])
 
 
 def test_lx_weighted_mae_hand_example():
     # two ages with lx 1.0 and 0.5 and |errors| 0.3 and 0.6 in each sex
     rec = schedule_record([[0.3, 0.6], [0.3, 0.6]],
                           [[1.0, 0.5], [1.0, 0.5]])
-    report = metric_report([rec])
+    report = metric_report(rec)
     assert np.isclose(report.log_mx["mae_lx"], 0.4, rtol=1e-12)
     assert np.isclose(report.log_mx["mae"], 0.45, rtol=1e-12)
 
@@ -187,7 +218,7 @@ def test_uniform_weights_collapse_to_unweighted():
     recs = [schedule_record(rng.normal(size=(2, 6)),
                             rng.uniform(0.1, 1.0, size=(2, 6)),
                             horizon=h) for h in range(1, 9)]
-    report = metric_report(recs, weights="uniform")
+    report = metric_report(stacked(recs), weights="uniform")
     assert np.isclose(report.log_mx["mae_lx"], report.log_mx["mae"],
                       rtol=1e-12)
     assert np.isclose(report.log_mx["bias_lx"], report.log_mx["bias"],
@@ -199,7 +230,7 @@ def test_uniform_weights_collapse_to_unweighted():
 def test_perfect_forecast_reports_zero_everywhere():
     recs = [schedule_record(np.zeros((2, 5)), np.ones((2, 5)), horizon=h)
             for h in (1, 7, 20, 30)]
-    report = metric_report(recs)
+    report = metric_report(stacked(recs))
     assert report.e0 == {"mae": 0.0, "rmse": 0.0, "bias": 0.0, "n": 4}
     for key in ("mae", "mae_lx", "bias", "bias_lx"):
         assert report.log_mx[key] == 0.0
@@ -216,13 +247,62 @@ def test_metrics_are_order_invariant():
             for h in (1, 5, 12, 30) for c in ("A", "B", "C")]
     shuffled = recs.copy()
     random.Random(9).shuffle(shuffled)
-    assert metric_report(recs).to_dict() == metric_report(shuffled).to_dict()
+    assert metric_report(stacked(recs)).to_dict() == \
+        metric_report(stacked(shuffled)).to_dict()
+
+
+def take(records, rows):
+    """The given rows of the records, in that order."""
+    return CVRecords(**{f.name: None if getattr(records, f.name) is None
+                        else getattr(records, f.name)[rows]
+                        for f in fields(CVRecords)})
+
+
+@st.composite
+def shuffled_records(draw):
+    """(records, a row permutation, cut points) with unique row keys."""
+    rows = draw(st.lists(st.tuples(st.sampled_from("ABC"),
+                                   st.integers(1950, 1952),
+                                   st.integers(1, 50)),
+                         min_size=1, max_size=12, unique=True))
+    n = len(rows)
+    value = st.floats(-5.0, 5.0)
+    errs = draw(st.lists(value, min_size=n, max_size=n))
+    eps = np.array(draw(st.lists(value | st.just(np.nan), min_size=6 * n,
+                                 max_size=6 * n))).reshape(n, 2, 3)
+    lx = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=6 * n,
+                                max_size=6 * n))).reshape(n, 2, 3)
+    country, origin, horizon = zip(*rows)
+    records = CVRecords(country=country, origin=origin, horizon=horizon,
+                        e0_hat=80.0 + np.array(errs), e0_obs=[80.0] * n,
+                        err=errs, log_mx_err=eps, lx_obs=lx,
+                        excluded=np.isnan(eps).sum(axis=(1, 2)))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    return records, order, cuts
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_records())
+def test_report_and_join_ignore_row_order(case):
+    records, order, cuts = case
+    shuffled = take(records, order)
+    assert metric_report(shuffled).to_dict() == \
+        metric_report(records).to_dict()
+    bounds = [0, *cuts, len(records)]
+    parts = [take(shuffled, np.arange(lo, hi))
+             for lo, hi in zip(bounds, bounds[1:])]
+    joined, whole = _joined(parts), _joined([records])
+    assert joined.country.tolist() == whole.country.tolist()
+    for f in fields(CVRecords)[1:]:
+        assert getattr(joined, f.name).tobytes() == \
+            getattr(whole, f.name).tobytes()
 
 
 def test_sex_differential_uses_mean_lx_weights():
     eps = np.array([[0.1, 0.2], [0.4, 0.8]])
     lx = np.array([[1.0, 0.5], [0.8, 0.3]])
-    report = metric_report([schedule_record(eps, lx)])
+    report = metric_report(schedule_record(eps, lx))
     delta = eps[1] - eps[0]
     w = 0.5 * (lx[0] + lx[1])
     assert np.isclose(report.sex_diff["mae_lx"],
@@ -232,12 +312,12 @@ def test_sex_differential_uses_mean_lx_weights():
 
 def test_age_bands_intersect_the_age_grid():
     rec = schedule_record(np.full((2, 30), 0.2), np.ones((2, 30)))
-    report = metric_report([rec], ages=np.arange(30))
+    report = metric_report(rec, ages=np.arange(30))
     labels = [row["band"] for row in report.by_age_band]
     assert labels == ["0", "1-14", "15-29"]
     assert all(np.isclose(row["mae"], 0.2) for row in report.by_age_band)
     with pytest.raises(DataError):
-        metric_report([rec], ages=np.arange(7))
+        metric_report(rec, ages=np.arange(7))
 
 
 def test_zero_observed_mx_excluded_and_tallied():
@@ -248,10 +328,10 @@ def test_zero_observed_mx_excluded_and_tallied():
     assert excluded == 1
     assert np.isnan(eps[1, 3]) and np.isfinite(eps[0, 3])
     assert lx.shape == (2, 5)
-    rec = CVRecord(country="X", origin=2000, horizon=1, e0_hat=80.0,
-                   e0_obs=80.0, err=0.0)
-    rec.log_mx_err, rec.lx_obs, rec.excluded = eps, lx, excluded
-    report = metric_report([rec])
+    rec = CVRecords(country=["X"], origin=[2000], horizon=[1], e0_hat=[80.0],
+                    e0_obs=[80.0], err=[0.0], log_mx_err=eps[None],
+                    lx_obs=lx[None], excluded=[excluded])
+    report = metric_report(rec)
     assert report.excluded == 1
     assert report.log_mx["n"] == 9
 
@@ -260,7 +340,7 @@ def test_metric_report_rejects_bad_weight_source():
     with pytest.raises(DataError):
         metric_report(make_records([0.1], [1]), weights="exposure")
     with pytest.raises(InsufficientDataError):
-        metric_report([])
+        metric_report(make_records([], []))
 
 
 # ------------------------------------------------------------- strict CV
@@ -276,29 +356,35 @@ def cv_world():
 def cv_records(cv_world):
     fits = []
 
-    def on_fit(country, origin_year, fitted):
-        fits.append((country, origin_year, fitted))
+    def recording_fit(training, config, **kwargs):
+        # the held-out country is the one _country_records works on
+        fitted = fit_model(training, config, **kwargs)
+        fits.append((sys._getframe(1).f_locals["country"], config.origin,
+                     fitted))
+        return fitted
 
     config = CVConfig(fit=FitConfig(seed=3), horizon=20, origin_spacing=10)
-    records = run_loco_cv(cv_world.tensor, config, on_fit=on_fit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluation, "fit_model", recording_fit)
+        records = run_loco_cv(cv_world.tensor, config)
     return records, fits, config
 
 
 def test_loco_produces_sorted_finite_records(cv_world, cv_records):
     records, _, config = cv_records
-    assert records
-    keys = [(r.country, r.origin, r.horizon) for r in records]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    assert len(records)
+    rows = keys(records)
+    assert rows == sorted(rows)
+    assert len(set(rows)) == len(rows)
     tensor = cv_world.tensor
-    for r in records:
-        assert 1 <= r.horizon <= config.horizon
-        c = tensor.country_index(r.country)
-        t = tensor.year_index(r.origin + r.horizon)
+    for country, origin, horizon in rows:
+        assert 1 <= horizon <= config.horizon
+        c = tensor.country_index(country)
+        t = tensor.year_index(origin + horizon)
         assert tensor.mask[c, t]
-        assert np.isclose(r.err, r.e0_hat - r.e0_obs)
-        assert r.log_mx_err.shape == (2, 16)
-        assert r.lx_obs.shape == (2, 16)
+    assert np.isclose(records.err, records.e0_hat - records.e0_obs).all()
+    assert records.log_mx_err.shape == (len(records), 2, 16)
+    assert records.lx_obs.shape == (len(records), 2, 16)
 
 
 def test_loco_isolation_of_held_out_country(cv_world, cv_records):
@@ -321,12 +407,13 @@ def test_loco_covers_expected_origins(cv_world, cv_records):
     for c, country in enumerate(tensor.countries):
         for t0 in candidate_origins(tensor, c, config):
             expected.add((country, int(tensor.years[t0])))
-    assert {(r.country, r.origin) for r in records} == expected
+    assert {(country, origin) for country, origin, _ in keys(records)} == \
+        expected
 
 
 def test_loco_tracks_truth_on_self_consistent_world(cv_records):
     records, _, _ = cv_records
-    errs = np.array([abs(r.err) for r in records])
+    errs = np.abs(records.err)
     assert np.mean(errs) < 1.0
 
 
@@ -351,7 +438,7 @@ def test_loco_skips_country_without_origins(cv_world):
     config = CVConfig(fit=FitConfig(seed=3), horizon=5, schedules=False)
     with pytest.warns(UserWarning, match="skipped"):
         records = run_loco_cv(crippled, config)
-    assert tensor.countries[0] not in {r.country for r in records}
+    assert tensor.countries[0] not in set(records.country)
 
 
 def test_truth_flag_switches_ground_truth(cv_world):
@@ -360,9 +447,9 @@ def test_truth_flag_switches_ground_truth(cv_world):
                       schedules=False)
     raw = run_loco_cv(cv_world.tensor, config)
     tucker = run_loco_cv(cv_world.tensor, replace_truth(config, "tucker"))
-    assert [r.e0_hat for r in raw] == [r.e0_hat for r in tucker]
-    assert any(not np.isclose(a.e0_obs, b.e0_obs, rtol=1e-12)
-               for a, b in zip(raw, tucker))
+    assert raw.e0_hat.tolist() == tucker.e0_hat.tolist()
+    assert any(not np.isclose(a, b, rtol=1e-12)
+               for a, b in zip(raw.e0_obs, tucker.e0_obs))
 
 
 def replace_truth(config, truth):
@@ -375,12 +462,10 @@ def test_inclusive_cv_covers_same_points_without_isolation(cv_world,
                                                            cv_records):
     strict, _, config = cv_records
     inclusive = run_inclusive_cv(cv_world.tensor, config)
-    assert {(r.country, r.origin, r.horizon) for r in inclusive} == \
-           {(r.country, r.origin, r.horizon) for r in strict}
-    keys = [(r.country, r.origin, r.horizon) for r in inclusive]
-    assert keys == sorted(keys)
+    assert set(keys(inclusive)) == set(keys(strict))
+    assert keys(inclusive) == sorted(keys(inclusive))
     # in-basis entries see their own history, so the forecasts differ
-    assert any(a.e0_hat != b.e0_hat for a, b in zip(strict, inclusive))
+    assert any(a != b for a, b in zip(strict.e0_hat, inclusive.e0_hat))
 
 
 # ------------------------------------------------------------ parallelism
@@ -390,12 +475,11 @@ def test_parallel_cv_matches_serial(cv_world, cv_records):
     serial, _, config = cv_records
     parallel = run_loco_cv(cv_world.tensor, replace_jobs(config, 3))
     assert len(parallel) == len(serial)
-    for a, b in zip(serial, parallel):
-        assert (a.country, a.origin, a.horizon) == (b.country, b.origin,
-                                                    b.horizon)
-        assert a.e0_hat == b.e0_hat
-        assert a.e0_obs == b.e0_obs
-        assert np.array_equal(a.log_mx_err, b.log_mx_err, equal_nan=True)
+    assert keys(serial) == keys(parallel)
+    assert serial.e0_hat.tolist() == parallel.e0_hat.tolist()
+    assert serial.e0_obs.tolist() == parallel.e0_obs.tolist()
+    assert np.array_equal(serial.log_mx_err, parallel.log_mx_err,
+                          equal_nan=True)
 
 
 def replace_jobs(config, jobs):
@@ -408,6 +492,13 @@ def test_thread_cap_from_environment(monkeypatch):
     monkeypatch.setenv("MORTFLOW_THREADS", "2")
     assert _effective_jobs(8) == 2
     assert _effective_jobs(1) == 1
+    monkeypatch.setenv("MORTFLOW_THREADS", " 3 ")
+    assert _effective_jobs(8) == 3
+    # anything but a positive integer is a usage error, not a serial run
+    for bad in ("banana", "0", "-3", "2.5"):
+        monkeypatch.setenv("MORTFLOW_THREADS", bad)
+        with pytest.raises(CVConfigError, match="positive integer"):
+            _effective_jobs(4)
     monkeypatch.setenv("MORTFLOW_THREADS", "banana")
     with pytest.raises(DataError):
         _effective_jobs(4)
@@ -441,9 +532,10 @@ def test_grid_cells_are_the_mae_of_inclusive_cv(cv_world):
                        fit=replace(config.fit, tau=row["tau"]))
         records = run_inclusive_cv(cv_world.tensor, cell)
         # the grid sums in origin-plan order: by origin year, then country
-        records.sort(key=lambda r: (r.origin, r.country, r.horizon))
-        assert row["n"] == len(records)
-        assert row["mae"] == float(np.mean([abs(r.err) for r in records]))
+        rows = sorted(zip(records.origin.tolist(), records.country.tolist(),
+                          records.horizon.tolist(), records.err.tolist()))
+        assert row["n"] == len(rows)
+        assert row["mae"] == float(np.mean([abs(r[3]) for r in rows]))
 
 
 def test_grid_search_rejects_repeated_values(cv_world):
@@ -482,8 +574,9 @@ def test_records_csv_round_trip(tmp_path):
     # every float reads back exactly
     assert [(c, int(o), int(h), float(a), float(b), float(e))
             for c, o, h, a, b, e in back] == \
-           [(r.country, r.origin, r.horizon, r.e0_hat, r.e0_obs, r.err)
-            for r in records]
+           list(zip(records.country, records.origin.tolist(),
+                    records.horizon.tolist(), records.e0_hat.tolist(),
+                    records.e0_obs.tolist(), records.err.tolist()))
 
 
 def test_grid_csv_and_metrics_json(tmp_path):
@@ -527,7 +620,8 @@ def test_cv_config_errors_are_usage_and_data_errors():
     for bad in ({"horizon": 0}, {"origin_spacing": 0}, {"min_train": 1},
                 {"w": 2.0}, {"truth": "oracle"}, {"horizon": 2.5},
                 {"origin_spacing": 2.5}, {"min_train": 20.5},
-                {"jobs": 2.5}, {"fit": FitConfig(origin=1990)}):
+                {"jobs": 2.5}, {"jobs": 0}, {"jobs": -3},
+                {"fit": FitConfig(origin=1990)}):
         with pytest.raises(ConfigError) as info:
             CVConfig(**bad)
         assert isinstance(info.value, DataError)
@@ -620,20 +714,16 @@ def test_grid_fits_tau_free_dynamics_once_per_origin(cv_world, monkeypatch):
 
 
 def assert_same_records(got, want):
-    """Equal record lists, every float and array bit for bit."""
+    """Equal records, every column bit for bit."""
     assert len(got) == len(want) > 0
-    for a, b in zip(got, want):
-        assert (a.country, a.origin, a.horizon, a.excluded) == \
-            (b.country, b.origin, b.horizon, b.excluded)
-        assert type(a.excluded) is int
-        for name in ("e0_hat", "e0_obs", "err"):
-            assert getattr(a, name).hex() == getattr(b, name).hex()
-        for name in ("log_mx_err", "lx_obs"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert x.shape == y.shape
-                assert x.tobytes() == y.tobytes()
+    assert got.country.tolist() == want.country.tolist()
+    assert got.excluded is None or got.excluded.dtype == np.int64
+    for f in fields(CVRecords)[1:]:
+        x, y = getattr(got, f.name), getattr(want, f.name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert (x.dtype, x.shape) == (y.dtype, y.shape)
+            assert x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("truth", ["raw", "tucker"])
@@ -677,21 +767,23 @@ def test_one_forecast_records_match_the_horizon_loop(cv_world, truth,
     want = reference_records(fitted.model, result, damaged, observed, c, t0,
                              config)
     assert_same_records(got, want)
-    assert [r.horizon for r in got] == [int(t - t0) for t in observed_t
-                                        if mask[c, t]]
+    assert got.horizon.tolist() == [int(t - t0) for t in observed_t
+                                    if mask[c, t]]
     if schedules:
-        assert [r.excluded for r in got[:3]] == [1, 1, 0]
-        assert got[-1].excluded == 2
+        assert got.excluded[:3].tolist() == [1, 1, 0]
+        assert got.excluded[-1] == 2
 
 
-def test_grid_maes_are_the_record_maes_in_plan_order(cv_world):
+def test_grid_maes_are_the_record_maes_in_plan_order(cv_world, monkeypatch):
     config = CVConfig(fit=FitConfig(seed=3), horizon=12, schedules=False)
     grid_w, grid_tau = (0.2, 1.0), (10.0, 20.0)
     result = grid_search(cv_world.tensor, grid_w, grid_tau, config)
-    cells = _inclusive_records(cv_world.tensor, config, grid_w, grid_tau,
-                               reference_records)
+    monkeypatch.setattr(evaluation, "_records_from_result",
+                        reference_records)
+    cells = _inclusive_records(cv_world.tensor, config, grid_w, grid_tau)
     for row in result.table:
-        errs = [abs(r.err) for r in cells[(row["w"], row["tau"])]]
+        errs = [abs(e) for part in cells[(row["w"], row["tau"])]
+                for e in part.err.tolist()]
         assert row["n"] == len(errs)
         assert row["mae"].hex() == float(np.mean(errs)).hex()
 

@@ -62,14 +62,14 @@ def test_parallel_strict_cv_loads_the_pool_and_matches_serial():
         parallel = run_loco_cv(world.tensor, replace(config, jobs=2))
         assert "concurrent.futures" in sys.modules
         assert len(serial) == len(parallel) > 0
-        for a, b in zip(serial, parallel):
-            assert (a.country, a.origin, a.horizon, a.e0_hat, a.e0_obs,
-                    a.err, a.excluded) == (b.country, b.origin, b.horizon,
-                                           b.e0_hat, b.e0_obs, b.err,
-                                           b.excluded)
-            assert np.array_equal(a.log_mx_err, b.log_mx_err,
-                                  equal_nan=True)
-            assert np.array_equal(a.lx_obs, b.lx_obs)
+        assert serial.country.tolist() == parallel.country.tolist()
+        for name in ("origin", "horizon", "e0_hat", "e0_obs", "err",
+                     "excluded"):
+            assert np.array_equal(getattr(serial, name),
+                                  getattr(parallel, name))
+        assert np.array_equal(serial.log_mx_err, parallel.log_mx_err,
+                              equal_nan=True)
+        assert np.array_equal(serial.lx_obs, parallel.lx_obs)
         print(len(serial))
     """)
     assert int(out) > 0
